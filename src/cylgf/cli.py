@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 for bad input (parse errors, unknown identity
-tags, invalid partitions), 3 for internal contract violations.  All file
-output ends with a trailing newline and is byte-identical across runs of
-the same command.
+Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
+(parse errors, unknown identity tags, malformed or invalid partitions,
+unreadable or unwritable files), 3 for internal contract violations.  All
+file output ends with a trailing newline and is byte-identical across runs
+of the same command.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import genfun, lemmas
@@ -21,19 +21,6 @@ from .slices import SliceError, board, decompose, flow_graph, shape, shape_lette
 
 class UsageError(ValueError):
     pass
-
-
-def _threads() -> int:
-    """Parallelism cap from CYLGF_THREADS; evaluation is sequential today,
-    so this only validates and records the setting."""
-    raw = os.environ.get("CYLGF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"CYLGF_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"CYLGF_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _parse_profile(text: str) -> Profile:
@@ -48,8 +35,11 @@ def _emit(text: str, out: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -135,16 +125,33 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _parse_partition(data) -> tuple[Profile, list]:
+    """Profile and rows of a decoded {"profile": [...], "rows": [[...], ...]}."""
+    def ints(value) -> bool:
+        # bool is a subclass of int but not a part
+        return isinstance(value, list) and all(type(v) is int for v in value)
+
+    if not (isinstance(data, dict) and ints(data.get("profile"))
+            and isinstance(data.get("rows"), list)
+            and all(ints(row) for row in data["rows"])):
+        raise UsageError('a partition is a JSON object {"profile": [int, ...], '
+                         '"rows": [[int, ...], ...]}')
+    return Profile(tuple(data["profile"])), data["rows"]
+
+
 def cmd_decompose(args) -> int:
     if args.file:
-        with open(args.file) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.file) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.file}: {exc.strerror}")
     elif args.json:
         data = json.loads(args.json)
     else:
         raise UsageError("decompose needs --json or --file")
-    profile = Profile(tuple(data["profile"]))
-    cp = validate(profile, data["rows"])
+    profile, rows = _parse_partition(data)
+    cp = validate(profile, rows)
     letters = shape_letters(profile)
     lines = []
     for k, s in enumerate(decompose(cp), start=1):
@@ -217,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads()
         return args.fn(args)
     except (UsageError, ProfileError, PartitionError, SliceError,
             genfun.UnknownIdentityError, json.JSONDecodeError,

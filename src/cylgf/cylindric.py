@@ -153,15 +153,6 @@ def validate(profile: Profile, rows) -> CylindricPartition:
     return CylindricPartition(profile, tuple(rows))
 
 
-def statistics(cp: CylindricPartition) -> tuple[int, int]:
-    """(size, largest part); (0, 0) for the empty partition."""
-    return cp.size, cp.largest
-
-
-def cyclic_shift(profile: Profile) -> Profile:
-    return profile.cyclic_shift()
-
-
 def iter_partitions(profile: Profile, bound: int) -> Iterator[CylindricPartition]:
     """All cylindric partitions with size <= bound, by backtracking.
 
@@ -203,8 +194,6 @@ def iter_partitions(profile: Profile, bound: int) -> Iterator[CylindricPartition
 
         yield from extend(0, budget, budget, [])
 
-    if r == 1 and c[0] == 0:  # unreachable (level >= 1) but keeps intent clear
-        return
     yield from build_row(0, bound)
 
 

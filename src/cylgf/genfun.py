@@ -138,8 +138,8 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
 
 # --- identity catalog ------------------------------------------------------
 
-def _sum_series(order, degree, numerator=(), denominator=(), coeff=1, start=0):
-    """sum_{n >= start} coeff(n) * q^{degree(n)} * prod num_n / prod den_n.
+def _sum_series(order, degree, numerator=None, denominator=None, coeff=1, start=0):
+    """sum_{n >= start} coeff * q^{degree(n)} * prod num_n / prod den_n.
 
     numerator/denominator are functions n -> list of PochSpec; the sum stops
     at the first n whose minimal degree degree(n) exceeds the order (degree
@@ -148,15 +148,9 @@ def _sum_series(order, degree, numerator=(), denominator=(), coeff=1, start=0):
     acc = Series.zero(order)
     n = start
     while degree(n) <= order:
-        term = Series.monomial(degree(n), order)
-        for spec in numerator(n) if callable(numerator) else numerator:
-            term = term * pochhammer(spec, order)
-        for spec in denominator(n) if callable(denominator) else denominator:
-            term = term * pochhammer(spec, order).invert()
-        c = coeff(n) if callable(coeff) else coeff
-        if c != 1:
-            term = term.scale(c)
-        acc = acc + term
+        num = numerator(n) if numerator else ()
+        den = denominator(n) if denominator else ()
+        acc = acc + Series.monomial(degree(n), order, coeff).times(num, den)
         n += 1
     return acc
 
@@ -167,10 +161,6 @@ def _inf(sign, start, step):
 
 def _fin(sign, start, step, count):
     return PochSpec(sign, start, step, count)
-
-
-def _lhs_with_factor(sum_part: Series, order: int, num, den) -> Series:
-    return sum_part * product_expr(num, den, order)
 
 
 def catalog_sides(tag: str, order: int, z_power: int | None = None):
@@ -193,20 +183,20 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
     if tag == "1.4":
         s = _sum_series(N, lambda n: n * n,
                         denominator=lambda n: [_fin(1, 4, 4, n)])
-        lhs = _lhs_with_factor(s, N, [_inf(-1, 2, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
         rhs = product_expr([], [_inf(1, 1, 1), _inf(1, 1, 5), _inf(1, 4, 5)], N)
         return lhs, rhs
     if tag == "1.5":
         s = _sum_series(N, lambda n: n * n + 2 * n,
                         denominator=lambda n: [_fin(1, 4, 4, n)])
-        lhs = _lhs_with_factor(s, N, [_inf(-1, 2, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
         rhs = product_expr([], [_inf(1, 1, 1), _inf(1, 2, 5), _inf(1, 3, 5)], N)
         return lhs, rhs
     if tag == "1.6":
         s = _sum_series(N, lambda n: n * (n + 1),
                         numerator=lambda n: [_fin(-1, 2, 2, n)],
                         denominator=lambda n: [_fin(-1, 3, 2, n), _fin(1, 2, 2, n)])
-        lhs = _lhs_with_factor(s, N, [_inf(-1, 3, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([_inf(-1, 3, 2)], [_inf(1, 1, 1)])
         rhs = product_expr(
             [], [_inf(1, 1, 1), _inf(1, 2, 6), _inf(1, 3, 6), _inf(1, 4, 6)], N)
         return lhs, rhs
@@ -216,7 +206,7 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
             numerator=lambda n: [_fin(-1, 2, 2, n - 1)],
             denominator=lambda n: [_fin(1, 2, 2, n), _fin(-1, 1, 2, n)],
             coeff=2, start=1)
-        lhs = _lhs_with_factor(s, N, [_inf(-1, 1, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([_inf(-1, 1, 2)], [_inf(1, 1, 1)])
         rhs = product_expr(
             [], [_inf(1, 6, 6),
                  _inf(1, 1, 6), _inf(1, 1, 6), _inf(1, 2, 6), _inf(1, 2, 6),
@@ -225,7 +215,7 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
     if tag == "1.8":
         s = _sum_series(N, lambda n: n * n,
                         denominator=lambda n: [_fin(1, 2, 2, n)])
-        lhs = _lhs_with_factor(s, N, [_inf(-1, 2, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
         rhs = product_expr(
             [], [_inf(1, 1, 1), _inf(1, 1, 6), _inf(1, 3, 6), _inf(1, 5, 6)], N)
         return lhs, rhs

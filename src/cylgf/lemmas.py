@@ -24,9 +24,8 @@ fixed-k family-A identity at k = 0 carries a factor 1/(1+q^0) = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .series import Series, first_mismatch
+from .series import PochSpec, Series, first_mismatch
 
 _OFFSETS = {"A": 0, "B": 1, "C": -1}
 
@@ -59,38 +58,16 @@ class NestedSumSpec:
         return _OFFSETS[self.family]
 
 
-def _ratio(num_exps, plus_exps, minus_exps, order: int, coeff=1) -> Series:
-    """coeff * q^(sum num_exps) / (prod (1+q^d) * prod (1-q^d)) at the order.
+def _ratio(num_exps, plus_exps, minus_exps, order: int) -> Series:
+    """q^(sum num_exps) / (prod (1+q^d) * prod (1-q^d)) at the order.
 
-    Denominator factors whose exponent exceeds what can still influence
-    coefficients <= order are skipped; a (1+q^0) factor becomes the scalar 2.
+    A (1+q^0) factor becomes the scalar 1/2.
     """
-    shift = sum(num_exps)
-    if shift > order:
-        return Series.zero(order)
-    cut = order - shift
-    den = [0] * (cut + 1)
-    den[0] = 1
-    scalar = 1
-    for d in plus_exps:
-        if d == 0:
-            scalar *= 2
-        elif d <= cut:
-            for n in range(cut, d - 1, -1):
-                den[n] += den[n - d]
-    for d in minus_exps:
-        if d == 0:
-            raise LemmaSpecError("denominator factor (1 - q^0) vanishes")
-        if d <= cut:
-            for n in range(cut, d - 1, -1):
-                den[n] -= den[n - d]
-    inv = Series.from_coeffs(den).invert()
-    c = Fraction(coeff, scalar) if scalar != 1 else coeff
-    out = [0] * (order + 1)
-    for n, v in enumerate(inv.coeffs):
-        if v != 0:
-            out[n + shift] = c * v
-    return Series.from_coeffs(out)
+    if 0 in minus_exps:
+        raise LemmaSpecError("denominator factor (1 - q^0) vanishes")
+    den = [PochSpec(-1, d, 1, 1) for d in plus_exps]
+    den += [PochSpec(1, d, 1, 1) for d in minus_exps]
+    return Series.monomial(sum(num_exps), order).times((), den)
 
 
 def _block_exps(e: int, base: int, m: int) -> tuple[list[int], list[int]]:
@@ -155,8 +132,9 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
         shared = [2 * k + 2 * j - 1 + e for j in range(2, m + 1)]
         d_low = [2 * k + 2 * j + e for j in range(0, m)]
         d_high = [2 * k + 2 * j + e for j in range(1, m + 1)]
-        split = _ratio(shared, d_high, (), order) - _ratio(shared, d_low, (), order)
-        return _ratio([1], (), [2 * m], order) * split
+        nums = [1] + shared
+        return (_ratio(nums, d_high, [2 * m], order)
+                - _ratio(nums, d_low, [2 * m], order))
     total = sum(spec.blocks)
     nums = [2 * j - 1 + e for j in range(1, total + 1)]
     plus = [2 * j + e for j in range(1, total + 1)]

@@ -4,6 +4,11 @@ All coefficients are exact rationals (plain ints whenever possible); there is
 no floating point anywhere in this package.  A series of order N stores the
 coefficients of q^0 .. q^N and every binary operation demands equal orders,
 so precision is never lost silently.
+
+Products of q-Pochhammer factors (Series.times, pochhammer, product_expr)
+are expanded factor by factor with in-place recurrences on the coefficient
+list, one pass per factor.  `*` and `invert` are the general ring
+operations; no product expansion goes through them.
 """
 from __future__ import annotations
 
@@ -138,6 +143,52 @@ class Series:
                 b[k] = -b0 * acc
         return Series.from_coeffs(b)
 
+    def times(self, numerator=(), denominator=()) -> Series:
+        """self * prod(numerator) / prod(denominator) for PochSpec factor lists.
+
+        Each factor (1 - s*q^e) with e >= 1 is applied in place on the
+        coefficient list: a numerator factor by the downward recurrence
+        out[n] -= s*out[n-e], a denominator factor by the upward recurrence
+        out[n] += s*out[n-e].  Factors (1 - s*q^0) are collected into one
+        rational scalar applied at the end, so the recurrences stay on int.
+        """
+        scalar = Fraction(1)
+        for spec in numerator:
+            if spec.start == 0 and spec.count != 0:
+                scalar *= 1 - spec.sign
+        for spec in denominator:
+            if spec.start == 0 and spec.count != 0:
+                if spec.sign == 1:
+                    raise NotAUnitError(f"denominator {spec} is not a unit")
+                scalar /= 2
+        order = self.order
+        out = list(self.coeffs)
+        # no factor lowers the degree, so coefficients below lo stay zero
+        lo = next((n for n, c in enumerate(out) if c != 0), None)
+        if lo is None or scalar == 0:
+            return Series.zero(order)
+        # one loop per sign: adding or subtracting is cheaper than
+        # multiplying big coefficients by s
+        for spec in numerator:
+            for e in spec.exponents(order):
+                if spec.sign == 1:
+                    for n in range(order, lo + e - 1, -1):
+                        out[n] -= out[n - e]
+                else:
+                    for n in range(order, lo + e - 1, -1):
+                        out[n] += out[n - e]
+        for spec in denominator:
+            for e in spec.exponents(order):
+                if spec.sign == 1:
+                    for n in range(lo + e, order + 1):
+                        out[n] += out[n - e]
+                else:
+                    for n in range(lo + e, order + 1):
+                        out[n] -= out[n - e]
+        if scalar != 1:
+            out = [scalar * c for c in out]
+        return Series.from_coeffs(out)
+
     def truncate(self, order: int) -> Series:
         """Shorten to a smaller (or equal) order."""
         if order > self.order:
@@ -167,23 +218,6 @@ class Series:
         if s.order != data["order"]:
             raise ValueError("order field disagrees with coefficient count")
         return s
-
-
-def combine(lhs: Series, rhs: Series, op: str) -> Series:
-    """Coefficient-wise add/sub at equal order."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def mul(lhs: Series, rhs: Series) -> Series:
-    return lhs * rhs
-
-
-def invert(s: Series) -> Series:
-    return s.invert()
 
 
 def first_mismatch(a: Series, b: Series):
@@ -222,45 +256,22 @@ class PochSpec:
                 "unbounded product with a leading (1 - q^0) factor vanishes"
             )
 
+    def exponents(self, order: int) -> range:
+        """Exponents e of the factors with 1 <= e <= order; a q^0 factor is
+        left to the caller, since it is a scalar rather than a recurrence."""
+        stop = order + 1
+        if self.count is not UNBOUNDED:
+            stop = min(stop, self.start + self.count * self.step)
+        return range(self.start or self.step, stop, self.step)
+
 
 def pochhammer(spec: PochSpec, order: int) -> Series:
     """Expand the product described by spec, truncated at the given order."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    k = 0
-    while True:
-        if spec.count is not UNBOUNDED and k >= spec.count:
-            break
-        e = spec.start + k * spec.step
-        if e > order:
-            if spec.count is UNBOUNDED:
-                break
-            # bounded factors beyond the truncation are 1 up to order
-            k += 1
-            continue
-        if e == 0:
-            c = 1 - spec.sign
-            for n in range(order + 1):
-                out[n] *= c
-        else:
-            for n in range(order, e - 1, -1):
-                if out[n - e] != 0:
-                    out[n] -= spec.sign * out[n - e]
-        k += 1
-    return Series.from_coeffs(out)
+    return Series.one(order).times([spec])
 
 
 def product_expr(
     numerator: list[PochSpec], denominator: list[PochSpec], order: int
 ) -> Series:
     """prod(numerators) * prod(1 / denominators) at the given order."""
-    acc = Series.one(order)
-    for spec in numerator:
-        acc = acc * pochhammer(spec, order)
-    den = Series.one(order)
-    for spec in denominator:
-        d = pochhammer(spec, order)
-        if d.coeffs[0] == 0:
-            raise NotAUnitError(f"denominator {spec} is not a unit")
-        den = den * d
-    return acc * den.invert()
+    return Series.one(order).times(numerator, denominator)

@@ -68,6 +68,12 @@ class TestExpand:
         assert code == 0 and out == ""
         assert path.read_text() == "[1, 2, 3]\n"
 
+    def test_out_file_unwritable(self, capsys, tmp_path):
+        code, out, err = run(capsys, "expand", "--profile", "1,1", "--order", "2",
+                             "--method", "chain", "--out",
+                             str(tmp_path / "absent" / "series.txt"))
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestCount:
     def test_csv(self, capsys):
@@ -181,16 +187,20 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", "--json", "{nope")
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '[1,2]',
+        '{"profile":"ab","rows":[]}',
+        '{"profile":[1,1],"rows":[[1.5],[]]}',
+        '{"profile":[1,1],"rows":[[true],[]]}',
+        '{"profile":[true,1],"rows":[[],[]]}',
+        '{"profile":[1,1]}',
+        '{"profile":[1,1],"rows":[1,2]}',
+    ])
+    def test_malformed_partition(self, capsys, text):
+        code, out, err = run(capsys, "decompose", "--json", text)
+        assert code == 2 and out == "" and err.startswith("error:")
 
-class TestEnvironment:
-    def test_threads_cap_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYLGF_THREADS", "four")
-        code, _, err = run(capsys, "expand", "--profile", "1,1",
-                           "--order", "2", "--method", "chain")
-        assert code == 2 and "CYLGF_THREADS" in err
-
-    def test_threads_cap_ok(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYLGF_THREADS", "4")
-        code, _, _ = run(capsys, "expand", "--profile", "1,1",
-                         "--order", "2", "--method", "chain")
-        assert code == 0
+    def test_missing_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "decompose", "--file",
+                           str(tmp_path / "absent.json"))
+        assert code == 2 and err.startswith("error:")

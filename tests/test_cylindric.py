@@ -3,8 +3,7 @@ import pytest
 
 from cylgf.cylindric import (CylindricPartition, InequalityError,
                              PartitionError, Profile, ProfileError, RowError,
-                             cyclic_shift, enumerate_table, iter_partitions,
-                             statistics, validate)
+                             enumerate_table, iter_partitions, validate)
 
 
 def all_profiles(max_t):
@@ -45,23 +44,23 @@ class TestProfile:
             Profile((0, 0, 0))
 
     def test_cyclic_shift(self):
-        assert cyclic_shift(Profile((2, 1))) == Profile((1, 2))
-        assert cyclic_shift(Profile((1, 1))) == Profile((1, 1))
+        assert Profile((2, 1)).cyclic_shift() == Profile((1, 2))
+        assert Profile((1, 1)).cyclic_shift() == Profile((1, 1))
         p = Profile((3, 0, 1, 2))
         q = p
         for _ in range(p.rank):
-            q = cyclic_shift(q)
+            q = q.cyclic_shift()
         assert q == p
 
 
 class TestValidate:
     def test_rank_three_example(self):
         cp = validate(Profile((1, 1, 1)), [(5, 4), (8, 2), (7, 5, 1)])
-        assert statistics(cp) == (32, 8)
+        assert (cp.size, cp.largest) == (32, 8)
 
     def test_two_row_example(self):
         cp = validate(Profile((2, 1)), [(2, 2, 1), (3,)])
-        assert statistics(cp) == (8, 3)
+        assert (cp.size, cp.largest) == (8, 3)
 
     def test_cyclic_inequality_violation(self):
         with pytest.raises(InequalityError) as err:
@@ -85,7 +84,7 @@ class TestValidate:
 
     def test_empty_partition(self):
         cp = validate(Profile((2, 0)), [(), ()])
-        assert statistics(cp) == (0, 0)
+        assert (cp.size, cp.largest) == (0, 0)
 
     def test_json_round_trip(self):
         cp = validate(Profile((2, 1)), [(2, 2, 1), (3,)])
@@ -137,7 +136,7 @@ class TestEnumerate:
         # F_c(z, q) is invariant under rotating the profile
         for profile in all_profiles(6):
             a = enumerate_table(profile, 8)
-            b = enumerate_table(cyclic_shift(profile), 8)
+            b = enumerate_table(profile.cyclic_shift(), 8)
             assert a.counts == b.counts, profile
 
     def test_rank_one_degenerate(self):

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpec,
-                          PochSpecError, Series, UNBOUNDED, combine,
-                          first_mismatch, invert, mul, pochhammer,
-                          product_expr)
+                          PochSpecError, Series, UNBOUNDED, first_mismatch,
+                          pochhammer, product_expr)
 
 
 def partition_counts(n_max):
@@ -39,14 +38,14 @@ class TestArithmetic:
     def test_add_cancellation(self):
         a = Series.from_coeffs([1, 1])
         b = Series.from_coeffs([1, -1])
-        assert combine(a, b, "add") == Series.from_coeffs([2, 0])
+        assert a + b == Series.from_coeffs([2, 0])
 
     def test_sub_self_is_zero(self):
         s = Series.from_coeffs([3, -2, 5])
-        assert combine(s, s, "sub") == Series.zero(2)
+        assert s - s == Series.zero(2)
 
     def test_add_partition_series_plus_zero(self):
-        p = invert(pochhammer(PochSpec(1, 1, 1), 2))
+        p = pochhammer(PochSpec(1, 1, 1), 2).invert()
         expected = Series.from_coeffs(partition_counts(2))
         assert p + Series.zero(2) == expected
         assert expected.coeffs == (1, 1, 2)
@@ -54,7 +53,7 @@ class TestArithmetic:
     def test_mul_difference_of_squares(self):
         a = Series.from_coeffs([1, 1, 0])
         b = Series.from_coeffs([1, -1, 0])
-        assert mul(a, b) == Series.from_coeffs([1, 0, -1])
+        assert a * b == Series.from_coeffs([1, 0, -1])
 
     def test_mul_by_one_is_identity(self):
         s = Series.from_coeffs([2, 0, -3, 7])
@@ -96,13 +95,13 @@ class TestArithmetic:
 class TestInvert:
     def test_geometric_series(self):
         s = Series.from_coeffs([1, -1, 0, 0, 0])
-        assert invert(s).coeffs == (1, 1, 1, 1, 1)
+        assert s.invert().coeffs == (1, 1, 1, 1, 1)
 
     def test_invert_one(self):
-        assert invert(Series.one(4)) == Series.one(4)
+        assert Series.one(4).invert() == Series.one(4)
 
     def test_partition_function(self):
-        p = invert(pochhammer(PochSpec(1, 1, 1), 8))
+        p = pochhammer(PochSpec(1, 1, 1), 8).invert()
         assert p.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22)
         assert p.coeffs == tuple(partition_counts(8))
 
@@ -110,17 +109,17 @@ class TestInvert:
         rng = random.Random(99)
         for _ in range(30):
             s = rand_series(rng, rng.randint(0, 10), unit=True)
-            assert s * invert(s) == Series.one(s.order)
-            assert invert(s) * s == Series.one(s.order)
+            assert s * s.invert() == Series.one(s.order)
+            assert s.invert() * s == Series.one(s.order)
 
     def test_rational_leading_coefficient(self):
         s = Series.from_coeffs([2, 1])
-        inv = invert(s)
+        inv = s.invert()
         assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 4))
 
     def test_non_unit_raises(self):
         with pytest.raises(NotAUnitError):
-            invert(Series.from_coeffs([0, 1]))
+            Series.from_coeffs([0, 1]).invert()
 
 
 class TestPochhammer:
@@ -174,8 +173,86 @@ class TestProductExpr:
         assert s.coeffs == (1, 2, 3, 6, 10)
 
     def test_non_unit_denominator(self):
-        with pytest.raises(NotAUnitError):
+        with pytest.raises(NotAUnitError, match="is not a unit"):
             product_expr([], [PochSpec(1, 0, 2, count=1)], 4)
+        with pytest.raises(NotAUnitError, match="is not a unit"):
+            product_expr([PochSpec(-1, 1, 1)], [PochSpec(1, 0, 3, count=2)], 5)
+
+
+def factor_series(sign, e, order):
+    """The two-term series 1 - sign*q^e (a constant when e == 0)."""
+    coeffs = [1] + [0] * order
+    if e <= order:
+        coeffs[e] -= sign
+    return Series.from_coeffs(coeffs)
+
+
+def slow_product(numerator, denominator, order):
+    """Reference for product_expr from explicit factors, * and invert only."""
+    def factors(spec):
+        k = 0
+        while k != spec.count:
+            e = spec.start + k * spec.step
+            if spec.count is UNBOUNDED and e > order:
+                return
+            yield factor_series(spec.sign, e, order)
+            k += 1
+
+    num = den = Series.one(order)
+    for spec in numerator:
+        for f in factors(spec):
+            num = num * f
+    for spec in denominator:
+        for f in factors(spec):
+            den = den * f
+    return num * den.invert()
+
+
+def rand_spec(rng, order):
+    """sign +-1, start 0-4, step 1-3; bounded counts may reach past the order."""
+    while True:
+        sign, start, step = rng.choice([1, -1]), rng.randint(0, 4), rng.randint(1, 3)
+        count = rng.choice([UNBOUNDED, rng.randint(0, order // step + 3)])
+        if not (count is UNBOUNDED and start == 0 and sign == 1):
+            return PochSpec(sign, start, step, count)
+
+
+class TestTimes:
+    def test_matches_mul_and_invert_randomized(self):
+        rng = random.Random(4417)
+        seen = {"halves": 0, "not_a_unit": 0}
+        for _ in range(400):
+            order = rng.randint(0, 12)
+            num = [rand_spec(rng, order) for _ in range(rng.randint(0, 3))]
+            den = [rand_spec(rng, order) for _ in range(rng.randint(0, 3))]
+            base = rand_series(rng, order)
+            base = base.shift(rng.randint(0, 3)).scale(rng.choice([1, 2, Fraction(1, 3)]))
+            try:
+                expected = slow_product(num, den, order)
+            except NotAUnitError:
+                seen["not_a_unit"] += 1
+                with pytest.raises(NotAUnitError):
+                    product_expr(num, den, order)
+                with pytest.raises(NotAUnitError):
+                    base.times(num, den)
+                continue
+            got = product_expr(num, den, order)
+            assert got == expected
+            assert base.times(num, den) == base * expected
+            if any(isinstance(c, Fraction) for c in got.coeffs):
+                seen["halves"] += 1
+        assert seen["halves"] > 0 and seen["not_a_unit"] > 0
+
+    def test_one_plus_q0_denominator_gives_halves(self):
+        # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2
+        s = product_expr([], [PochSpec(-1, 0, 2, count=2)], 4)
+        half = Fraction(1, 2)
+        assert s.coeffs == (half, 0, -half, 0, half)
+
+    def test_pochhammer_is_times_on_one(self):
+        spec = PochSpec(-1, 2, 3)
+        assert pochhammer(spec, 9) == Series.one(9).times([spec])
+        assert pochhammer(spec, 9) == slow_product([spec], [], 9)
 
 
 class TestMisc:
