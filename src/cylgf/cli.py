@@ -31,6 +31,18 @@ def _parse_profile(text: str) -> Profile:
     return Profile(parts)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _emit(text: str, out: str | None):
     if not text.endswith("\n"):
         text += "\n"
@@ -177,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--profile", required=True,
                             help="comma-separated profile, e.g. 2,1")
         if order:
-            sp.add_argument("--order", type=int, required=True,
+            sp.add_argument("--order", type=_int_at_least(0), required=True,
                             help="truncation degree N")
         sp.add_argument("--out", help="write output to this file")
         sp.add_argument("--verbose", action="store_true")
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flow", help="slice-flow graph as DOT")
     common(sp, order=False)
-    sp.add_argument("--max-weight", type=int, required=True)
+    sp.add_argument("--max-weight", type=_int_at_least(1), required=True)
     sp.add_argument("--format", choices=["dot"], default="dot")
     sp.set_defaults(fn=cmd_flow)
 
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--id", help='identity tag, e.g. 1.2, A1, gasper, L4.2(2)')
     sp.add_argument("--all", action="store_true",
                     help="run the pinned verification grid")
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", type=_int_at_least(0), default=None)
     sp.add_argument("--z-power", type=int, default=None)
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--out", help="write output to this file")
@@ -226,15 +238,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, ProfileError, PartitionError, SliceError,
-            genfun.UnknownIdentityError, json.JSONDecodeError,
-            KeyError, ValueError) as exc:
-        # contract violations signal bugs, everything else is input trouble
-        if isinstance(exc, (OrderMismatchError, NotAUnitError,
-                            genfun.FormulaError)):
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 3
+            genfun.UnknownIdentityError, lemmas.LemmaSpecError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OrderMismatchError, NotAUnitError, genfun.FormulaError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -125,25 +125,35 @@ def recompose_or_empty(levels: list[Slice], profile: Profile) -> CylindricPartit
     return recompose(levels)
 
 
-def iter_slices(profile: Profile, max_weight: int, include_empty: bool = False):
-    """Valid slices with weight <= max_weight, by (weight, white tuple)."""
+def iter_slices(profile: Profile, max_weight: int):
+    """Non-empty valid slices with weight <= max_weight, lazily.
+
+    Slices come out in (weight, white tuple) order: for w = 1, 2, ...,
+    max_weight the tuples of sum exactly w are built entry by entry in
+    lexicographic order.  A prefix only grows by t_{i+1} <= t_i + c_{i+1},
+    the last entry takes the room that is left, and only the cyclic edge
+    t_1 <= t_r + c_1 is tested on a complete tuple.  No invalid tuple is
+    ever wrapped in a Slice and nothing is collected or sorted, so a
+    caller that stops early pays only for the slices it consumed.
+    """
+    c = profile.parts
     r = profile.rank
-    found = []
 
-    def rec(i, acc, room):
-        if i == r:
-            s = Slice(profile, tuple(acc))
-            if s.is_valid() and (s.weight > 0 or include_empty):
-                found.append(s)
+    def extend(prefix, room):
+        i = len(prefix)
+        if i == r - 1:
+            if room <= prefix[-1] + c[i] and prefix[0] <= room + c[0]:
+                yield Slice(profile, prefix + (room,))
             return
-        for v in range(room + 1):
-            acc.append(v)
-            rec(i + 1, acc, room - v)
-            acc.pop()
+        for v in range(min(room, prefix[-1] + c[i]) + 1):
+            yield from extend(prefix + (v,), room - v)
 
-    rec(0, [], max_weight)
-    found.sort(key=lambda s: (s.weight, s.white))
-    yield from found
+    for w in range(1, max_weight + 1):
+        if r == 1:
+            yield Slice(profile, (w,))
+        else:
+            for first in range(w + 1):
+                yield from extend((first,), w - first)
 
 
 def shape_count(profile: Profile) -> int:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from cylgf import genfun
 from cylgf.cli import main
+from cylgf.series import NotAUnitError
 
 
 def run(capsys, *argv):
@@ -204,3 +206,41 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--file",
                            str(tmp_path / "absent.json"))
         assert code == 2 and err.startswith("error:")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--profile", "2,1", "--order", "-1", "--method", "chain"],
+        ["expand", "--profile", "2,1", "--order", "-1",
+         "--method", "chain-distinct"],
+        ["expand", "--profile", "2,1", "--order", "-1", "--method", "borodin"],
+        ["count", "--profile", "2,1", "--order", "-1"],
+        ["verify", "--id", "1.2", "--order", "-1"],
+        ["verify", "--all", "--order", "-1"],
+        ["flow", "--profile", "2,1", "--max-weight", "0"],
+        ["flow", "--profile", "2,1", "--max-weight", "-3"],
+        ["expand", "--profile", "2,1", "--order", "x", "--method", "chain"],
+    ])
+    def test_out_of_range_number(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and "error:" in out.err
+
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        def broken(profile, order):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(genfun, "borodin", broken)
+        with pytest.raises(KeyError):
+            main(["expand", "--profile", "1,1", "--order", "3",
+                  "--method", "borodin"])
+
+    def test_contract_violation_exits_3(self, capsys, monkeypatch):
+        def broken(profile, order):
+            raise NotAUnitError("constant coefficient is zero")
+
+        monkeypatch.setattr(genfun, "borodin", broken)
+        code, out, err = run(capsys, "expand", "--profile", "1,1",
+                             "--order", "3", "--method", "borodin")
+        assert code == 3 and out == "" and err.startswith("internal error:")

@@ -1,7 +1,10 @@
 """Tests for the slice calculus, flow graphs, and decomposition."""
+import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylgf.cylindric import Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
@@ -166,6 +169,40 @@ class TestMinSlices:
             assert len(ms) == shape_count(profile)
             assert shape_count(profile) == comb(
                 profile.level + profile.rank - 1, profile.rank - 1)
+
+    def test_stops_at_last_shape(self):
+        # the scan bound is rank*level + rank = 64 here; enumerating every
+        # tuple up to it would take about 10^10 candidates
+        profile = Profile((2, 1, 0, 3, 0, 0, 1, 0))
+        ms = min_slices(profile)
+        assert len(ms) == shape_count(profile) == 3432
+        assert ms[shape(Slice(profile, (0,) * 8))].white == (1,) * 8
+
+
+class TestIterSlices:
+    @staticmethod
+    def brute_force(profile, max_weight):
+        """Filter every tuple by Slice.is_valid, then sort."""
+        found = [Slice(profile, t)
+                 for t in itertools.product(range(max_weight + 1),
+                                            repeat=profile.rank)
+                 if 0 < sum(t) <= max_weight]
+        found = [s for s in found if s.is_valid()]
+        found.sort(key=lambda s: (s.weight, s.white))
+        return found
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any),
+           max_weight=st.integers(0, 8))
+    def test_matches_brute_force(self, parts, max_weight):
+        profile = Profile(tuple(parts))
+        assert (list(iter_slices(profile, max_weight))
+                == self.brute_force(profile, max_weight))
+
+    def test_lazy(self):
+        # the first slice arrives without enumerating up to the bound
+        first = next(iter_slices(Profile((1,) * 12), 10 ** 6))
+        assert first.white == (0,) * 11 + (1,)
 
 
 class TestCensus:
