@@ -2,20 +2,21 @@
 
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 (parse errors, unknown identity tags, malformed or invalid partitions,
-unreadable or unwritable files), 3 for internal contract violations.  All
-file output ends with a trailing newline and is byte-identical across runs
-of the same command.
+unreadable or unwritable files), 3 for internal contract violations and any
+other unexpected exception.  All file output ends with a trailing newline
+and is byte-identical across runs of the same command.  `expand --verbose`
+also writes its work counters and time to stderr as one JSON object.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
 
 from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
                         enumerate_table, validate)
-from .series import NotAUnitError, OrderMismatchError
 from .slices import SliceError, board, decompose, flow_graph, shape, shape_letters
 
 
@@ -58,11 +59,20 @@ def _emit(text: str, out: str | None):
 
 def cmd_expand(args) -> int:
     profile = _parse_profile(args.profile)
+    start = time.perf_counter()
     if args.method == "borodin":
         series = genfun.borodin(profile, args.order)
+        counters = {"factors": len(genfun.borodin_specs(profile))}
     else:
         distinct = args.method == "chain-distinct"
-        series = genfun.chain_series(profile, args.order, distinct).marginal()
+        gf = genfun.chain_series(profile, args.order, distinct)
+        series = gf.marginal()
+        counters = {"nodes": gf.nodes, "pairs_tested": gf.pairs_tested,
+                    "pairs_contained": gf.pairs_contained,
+                    "slot_bits": gf.slot_bits}
+    if args.verbose:
+        counters["seconds"] = round(time.perf_counter() - start, 6)
+        print(json.dumps(counters), file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()), args.out)
     else:
@@ -242,8 +252,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OrderMismatchError, NotAUnitError, genfun.FormulaError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a contract violation (NotAUnitError, OrderMismatchError,
+        # FormulaError) or any other bug, not bad input; exit 1 is reserved
+        # for a failed verification
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lemmas
 from .cylindric import Profile
@@ -67,6 +67,11 @@ class ChainGF:
     order: int
     distinct: bool
     table: tuple[tuple[int, ...], ...]
+    # work done: slices, containment tests and hits, packed slot width
+    nodes: int = field(default=0, compare=False)
+    pairs_tested: int = field(default=0, compare=False)
+    pairs_contained: int = field(default=0, compare=False)
+    slot_bits: int = field(default=0, compare=False)
 
     def marginal(self) -> Series:
         """Specialization z = 1."""
@@ -88,52 +93,46 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
     Slices are processed in (weight, white) order; strict containment only
     ever points from strictly lighter slices, so a single pass suffices.
     g(s) collects all chains whose largest (bottom) slice is s.
+
+    Each (z, q) table is one int (Kronecker substitution): z^m q^k sits in
+    the B-bit slot k*(N+1) + m, so a table add is one big-int add.  An entry
+    counts distinct cylindric partitions of one size k <= N, whose r rows
+    are partitions of total size k, so it is at most [q^N] (q;q)_oo^{-r}
+    (nondecreasing in N); B is the bit length of that bound, so no slot
+    carries into the next.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
+    Nonzero cells have m <= k and w >= 1, so a term with k + jw <= N has
+    m + j <= N and keeps its row; a term past q^N lands at slot (N+1)^2 or
+    above, where the mask drops it.
     """
-    n = order
+    n, side = order, order + 1
+    bound = Series.one(n).times((), [PochSpec(1, 1, 1)] * profile.rank)
+    bits = bound.coeffs[n].bit_length()
+    mask = (1 << (side * side * bits)) - 1
     nodes = list(iter_slices(profile, n))
-    g: list[list[list[int]]] = []
-
-    def fresh():
-        return [[0] * (n + 1) for _ in range(n + 1)]
-
-    for idx, s in enumerate(nodes):
-        inner = fresh()
-        inner[0][0] = 1
-        for jdx in range(idx):
-            s2 = nodes[jdx]
-            if s2.weight < s.weight and contains(s2, s):
-                prev = g[jdx]
-                for m in range(n + 1):
-                    row = prev[m]
-                    dst = inner[m]
-                    for k in range(n + 1):
-                        if row[k]:
-                            dst[k] += row[k]
-        w = s.weight
-        cur = fresh()
-        reps = 1 if distinct else n // w
-        for j in range(1, reps + 1):
-            dz, dq = j, j * w
-            if dq > n:
-                break
-            for m in range(n + 1 - dz):
-                row = inner[m]
-                dst = cur[m + dz]
-                for k in range(n + 1 - dq):
-                    if row[k]:
-                        dst[k + dq] += row[k]
+    weights = [s.weight for s in nodes]
+    g: list[int] = []
+    tested = contained = 0
+    for s, w in zip(nodes, weights):
+        inner = 1
+        for s2, w2, g2 in zip(nodes, weights, g):
+            if w2 < w:
+                tested += 1
+                if contains(s2, s):
+                    contained += 1
+                    inner += g2
+        cur = 0
+        for _ in range(1 if distinct else n // w):
+            inner = (inner << (w * side + 1) * bits) & mask
+            cur += inner
         g.append(cur)
 
-    total = fresh()
-    total[0][0] = 1
-    for cur in g:
-        for m in range(n + 1):
-            row = cur[m]
-            dst = total[m]
-            for k in range(n + 1):
-                if row[k]:
-                    dst[k] += row[k]
-    return ChainGF(profile, n, distinct, tuple(tuple(r) for r in total))
+    total = 1 + sum(g)
+    row_mask, slot_mask = (1 << side * bits) - 1, (1 << bits) - 1
+    rows = [total >> k * side * bits & row_mask for k in range(side)]
+    table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
+                  for m in range(side))
+    return ChainGF(profile, n, distinct, table, len(nodes), tested, contained,
+                   bits)
 
 
 # --- identity catalog ------------------------------------------------------

@@ -1,11 +1,17 @@
 """End-to-end tests of the command-line surface."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylgf import genfun
 from cylgf.cli import main
+from cylgf.cylindric import Profile
 from cylgf.series import NotAUnitError
+from cylgf.slices import iter_slices
 
 
 def run(capsys, *argv):
@@ -227,14 +233,15 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == "" and "error:" in out.err
 
-    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+    def test_internal_key_error_is_not_bad_input(self, capsys, monkeypatch):
         def broken(profile, order):
             raise KeyError("bug")
 
         monkeypatch.setattr(genfun, "borodin", broken)
-        with pytest.raises(KeyError):
-            main(["expand", "--profile", "1,1", "--order", "3",
-                  "--method", "borodin"])
+        code, out, err = run(capsys, "expand", "--profile", "1,1",
+                             "--order", "3", "--method", "borodin")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: KeyError:")
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
         def broken(profile, order):
@@ -244,3 +251,83 @@ class TestExitCodes:
         code, out, err = run(capsys, "expand", "--profile", "1,1",
                              "--order", "3", "--method", "borodin")
         assert code == 3 and out == "" and err.startswith("internal error:")
+
+
+# text in which no token can parse as an int: int() needs a decimal digit
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")),
+                    max_size=6)
+BAD_PROFILE = st.one_of(
+    NO_DIGITS,
+    st.lists(NO_DIGITS, min_size=1, max_size=3).map(",".join),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    .filter(lambda parts: min(parts) < 0 or not any(parts))
+    .map(lambda parts: ",".join(map(str, parts))),
+)
+BAD_NUMBER = st.one_of(NO_DIGITS, st.integers(-10 ** 6, -1).map(str),
+                       st.sampled_from(["1.5", "1e3", "0x10", "--1"]))
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    def exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the option
+                code = exc.code
+        assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+        assert "error:" in err.getvalue()
+        return code
+
+    @settings(max_examples=80, deadline=None)
+    @given(profile=BAD_PROFILE, order=st.integers(0, 4),
+           command=st.sampled_from(["expand-chain", "expand-borodin", "count",
+                                    "flow"]))
+    def test_bad_profile(self, profile, order, command):
+        if command == "flow":
+            argv = ["flow", f"--profile={profile}", "--max-weight", "2"]
+        else:
+            argv = [command.split("-")[0], f"--profile={profile}",
+                    "--order", str(order)]
+            if command != "count":
+                argv += ["--method", command.split("-")[1]]
+        assert self.exit_code(argv) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(value=BAD_NUMBER,
+           command=st.sampled_from(["expand", "count", "flow"]))
+    def test_bad_number(self, value, command):
+        if command == "flow":
+            argv = ["flow", "--profile", "2,1", f"--max-weight={value}"]
+        else:
+            argv = [command, "--profile", "2,1", f"--order={value}"]
+            if command == "expand":
+                argv += ["--method", "chain"]
+        assert self.exit_code(argv) == 2
+
+    def test_zero_max_weight(self):
+        argv = ["flow", "--profile", "2,1", "--max-weight=0"]
+        assert self.exit_code(argv) == 2
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("method", ["borodin", "chain", "chain-distinct"])
+    def test_counters_on_stderr_stdout_unchanged(self, capsys, method):
+        argv = ["expand", "--profile", "2,1", "--order", "12",
+                "--method", method]
+        code, plain, quiet = run(capsys, *argv)
+        code_v, out, err = run(capsys, *argv, "--verbose")
+        assert code == code_v == 0 and out == plain and quiet == ""
+        counters = json.loads(err)
+        assert counters.pop("seconds") >= 0
+        if method == "borodin":
+            assert counters == {"factors": len(genfun.borodin_specs(
+                Profile((2, 1))))}
+        else:
+            assert set(counters) == {"nodes", "pairs_tested",
+                                     "pairs_contained", "slot_bits"}
+            assert counters["nodes"] == len(list(
+                iter_slices(Profile((2, 1)), 12)))
+            assert 0 < counters["pairs_contained"] <= counters["pairs_tested"]

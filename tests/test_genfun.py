@@ -2,6 +2,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylgf import genfun
 from cylgf.cylindric import Profile, enumerate_table
@@ -11,6 +13,41 @@ from cylgf.genfun import (DUALITY_PAIRS, FormulaError, Mismatch,
                           lemmas_for_tag, verify_equal, verify_identity)
 from cylgf.lemmas import NestedSumSpec
 from cylgf.series import PochSpec, Series, pochhammer, product_expr
+from cylgf.slices import contains, iter_slices
+
+# the profile orbits and top orders of the chain-dp benchmark workload
+CHAIN_ORBITS = [((1, 1), 50), ((2, 1), 40), ((1, 0, 1), 34), ((1, 1, 1), 28),
+                ((2, 1, 1), 28), ((1, 0, 0, 1), 25)]
+
+
+def partition_numbers(n):
+    """p(0..n) by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        j = 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            for pent in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if pent <= k:
+                    p[k] += sign * p[k - pent]
+            j += 1
+    return p
+
+
+def distinct_chain_marginal(profile, n):
+    """Chains with pairwise distinct levels, one q-series per slice, as lists."""
+    nodes = list(iter_slices(profile, n))
+    ending = []
+    total = [1] + [0] * n
+    for s in nodes:
+        below = [1] + [0] * n
+        for s2, h in zip(nodes, ending):
+            if s2.weight < s.weight and contains(s2, s):
+                below = [a + b for a, b in zip(below, h)]
+        cur = [0] * s.weight + below[:n + 1 - s.weight]
+        ending.append(cur)
+        total = [a + b for a, b in zip(total, cur)]
+    return total
 
 
 class TestBorodin:
@@ -81,6 +118,34 @@ class TestChainSeries:
                 acc = acc * Series.from_coeffs(f)
             k += 1
         assert chain_series(Profile((1, 1)), n, distinct=True).marginal() == acc
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any),
+           order=st.integers(0, 8))
+    def test_packed_table_equals_enumeration(self, parts, order):
+        profile = Profile(tuple(parts))
+        assert (chain_series(profile, order).table
+                == enumerate_table(profile, order).counts)
+
+    @pytest.mark.parametrize("parts", [(1,), (3,)])
+    def test_rank_one_is_partition_numbers(self, parts):
+        # rank 1: every partition is cylindric, so the marginal reaches the
+        # slot bound [q^N] 1/(q;q)_oo = p(N) exactly
+        g = chain_series(Profile(parts), 60)
+        p = partition_numbers(60)
+        assert list(g.marginal().coeffs) == p
+        assert g.slot_bits == p[60].bit_length()
+
+    @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
+    def test_chain_equals_borodin_at_benchmark_orders(self, parts, order):
+        profile = Profile(parts)
+        assert chain_series(profile, order).marginal() == borodin(profile, order)
+
+    @pytest.mark.parametrize("parts", [parts for parts, _ in CHAIN_ORBITS])
+    def test_distinct_equals_list_dp(self, parts):
+        profile = Profile(parts)
+        got = chain_series(profile, 20, distinct=True).marginal()
+        assert list(got.coeffs) == distinct_chain_marginal(profile, 20)
 
 
 class TestCatalog:
