@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 (parse errors, unknown identity tags, malformed or invalid partitions,
 unreadable or unwritable files), 3 for internal contract violations and any
 other unexpected exception.  All file output ends with a trailing newline
-and is byte-identical across runs of the same command.  `expand --verbose`
-also writes its work counters and time to stderr as one JSON object.
+and is byte-identical across runs of the same command.  `--verbose` on
+`expand`, `count` and `verify` also writes the command's work counters and
+time to stderr as one JSON object.
 """
 from __future__ import annotations
 
@@ -57,6 +58,14 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _report(args, counters: dict, start: float):
+    """With --verbose, the work counters and seconds as one JSON line on
+    stderr; stdout is not touched."""
+    if args.verbose:
+        counters["seconds"] = round(time.perf_counter() - start, 6)
+        print(json.dumps(counters), file=sys.stderr)
+
+
 def cmd_expand(args) -> int:
     profile = _parse_profile(args.profile)
     start = time.perf_counter()
@@ -70,9 +79,7 @@ def cmd_expand(args) -> int:
         counters = {"nodes": gf.nodes, "pairs_tested": gf.pairs_tested,
                     "pairs_contained": gf.pairs_contained,
                     "slot_bits": gf.slot_bits}
-    if args.verbose:
-        counters["seconds"] = round(time.perf_counter() - start, 6)
-        print(json.dumps(counters), file=sys.stderr)
+    _report(args, counters, start)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()), args.out)
     else:
@@ -82,7 +89,9 @@ def cmd_expand(args) -> int:
 
 def cmd_count(args) -> int:
     profile = _parse_profile(args.profile)
+    start = time.perf_counter()
     table = enumerate_table(profile, args.order)
+    _report(args, {"partitions": sum(map(sum, table.counts))}, start)
     if args.format == "json":
         payload = {
             "profile": list(profile.parts),
@@ -102,7 +111,12 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _verify_one(tag: str, order: int, z_power, lines: list[str]) -> bool:
+def _verify_one(tag: str, order: int, z_power, lines: list[str],
+                work: dict) -> bool:
+    if tag.startswith("L"):
+        work["lemma_specs"] += len(genfun.lemmas_for_tag(tag))
+    else:
+        work["identities"] += 1
     bad = genfun.verify_identity(tag, order, z_power)
     name = tag if z_power is None else f"{tag}(z=q^{z_power})"
     if bad is None:
@@ -116,33 +130,38 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str]) -> bool:
 def cmd_verify(args) -> int:
     lines: list[str] = []
     ok = True
+    work = {"identities": 0, "lemma_specs": 0}
+    start = time.perf_counter()
     if args.all:
         from importlib.resources import files
 
         grid = json.loads(files("cylgf.data").joinpath("verify_all.json").read_text())
         for entry in grid["identities"]:
             order = args.order if args.order is not None else entry["order"]
-            ok &= _verify_one(entry["id"], order, entry.get("z_power"), lines)
+            ok &= _verify_one(entry["id"], order, entry.get("z_power"), lines,
+                              work)
         lem = grid["lemmas"]
         order = args.order if args.order is not None else lem["order"]
         for spec in lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"]):
             line, good = lemmas.report_line(spec, order)
+            work["lemma_specs"] += 1
             lines.append(line)
             ok &= good
     elif args.id:
         order = args.order if args.order is not None else 40
         if args.format == "csv" and not args.id.startswith("L"):
             lhs, rhs = genfun.catalog_sides(args.id, order, args.z_power)
-            rows = ["degree,lhs,rhs,equal"]
+            work["identities"] += 1
+            lines.append("degree,lhs,rhs,equal")
             for n in range(order + 1):
                 a, b = lhs.coeffs[n], rhs.coeffs[n]
-                rows.append(f"{n},{a},{b},{str(a == b).lower()}")
+                lines.append(f"{n},{a},{b},{str(a == b).lower()}")
                 ok &= a == b
-            _emit("\n".join(rows), args.out)
-            return 0 if ok else 1
-        ok = _verify_one(args.id, order, args.z_power, lines)
+        else:
+            ok = _verify_one(args.id, order, args.z_power, lines, work)
     else:
         raise UsageError("verify needs --id or --all")
+    _report(args, work, start)
     _emit("\n".join(lines), args.out)
     return 0 if ok else 1
 

@@ -24,6 +24,7 @@ fixed-k family-A identity at k = 0 carries a factor 1/(1+q^0) = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .series import PochSpec, Series, first_mismatch
 
@@ -78,50 +79,62 @@ def _block_exps(e: int, base: int, m: int) -> tuple[list[int], list[int]]:
 
 
 def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
-    """The multi-sum evaluated exactly at the order.
+    """The multi-sum evaluated exactly at the order, one chain pass per block.
 
-    Each k_i runs from 1 until the summand's minimal degree (later indices
-    held at 1) exceeds the order; `extra` pushes every range that many steps
-    further, which must not change any coefficient (truncation soundness).
+    Block i depends on K_i = k_1 + ... + k_i alone, and the sum runs over
+    1 <= K_1 < K_2 < ... < K_n.  So with S_1(K) the first block at K and
+    S_i(K) = B_i(K) * sum_{K' < K} S_{i-1}(K'), the multi-sum is
+    sum_K S_n(K): each block is one pass over K with a running prefix sum
+    of the previous block's terms, each term that prefix times q^(numerator
+    degree) divided by the block's denominators (1 + q^(2K+2M_{i-1}+e+2j)),
+    j = 0..m_i.  K_i runs from i until the least degree of any full term
+    with that K_i (K_j = j before it, K_i + j - i after it) exceeds the
+    order; `extra` runs every range that many steps further, which must not
+    change any coefficient (truncation soundness).
     """
     e = spec.offset
     blocks = spec.blocks
-    n = len(blocks)
-    m_prefix = [0]
-    for m in blocks:
-        m_prefix.append(m_prefix[-1] + m)
 
     if spec.fixed_k is not None:
         base = 2 * spec.fixed_k
         nums, dens = _block_exps(e, base, blocks[0])
         return _ratio(nums, dens, (), order)
 
-    def min_rest(i: int, ksum: int) -> int:
-        """Minimal numerator degree of blocks i..n-1 with k_j = 1 onward."""
-        tot, k = 0, ksum
-        for j in range(i, n):
-            k += 1
-            nums, _ = _block_exps(e, 2 * k + 2 * m_prefix[j], blocks[j])
-            tot += sum(nums)
-        return tot
+    bases = [2 * sum(blocks[:i]) + e for i in range(len(blocks))]
 
-    acc = Series.zero(order)
+    def degree(i: int, k: int) -> int:
+        """Numerator degree of block i at K_i = k."""
+        m = blocks[i]
+        return m * (2 * k + bases[i]) + m * m
 
-    def rec(i, ksum, num_acc, den_acc, acc):
-        if i == n:
-            return acc + _ratio(num_acc, den_acc, (), order)
-        k, over = 1, 0
+    def least(i: int, k: int) -> int:
+        return sum(degree(j, j + 1 if j < i else k + j - i)
+                   for j in range(len(blocks)))
+
+    # (K, coefficients) of the previous block's terms; the empty block is 1
+    # at K = 0.  Prefix sums stay plain lists, added in C by map(add, ...).
+    terms = [(0, (1,) + (0,) * order)]
+    for i, m in enumerate(blocks):
+        prefix, done, out = [0] * (order + 1), 0, []
+        k, over = i + 1, 0
         while True:
-            nums, dens = _block_exps(e, 2 * (ksum + k) + 2 * m_prefix[i], blocks[i])
-            if sum(num_acc) + sum(nums) + min_rest(i + 1, ksum + k) > order:
+            if least(i, k) > order:
                 over += 1
                 if over > extra:
                     break
-            acc = rec(i + 1, ksum + k, num_acc + nums, den_acc + dens, acc)
+            while done < len(terms) and terms[done][0] < k:
+                prefix = list(map(add, prefix, terms[done][1]))
+                done += 1
+            d = min(degree(i, k), order + 1)
+            shifted = Series(order, (0,) * d + tuple(prefix[:order + 1 - d]))
+            den = PochSpec(-1, 2 * k + bases[i], 2, m + 1)
+            out.append((k, shifted.times((), [den]).coeffs))
             k += 1
-        return acc
-
-    return rec(0, 0, [], [], acc)
+        terms = out
+    total = [0] * (order + 1)
+    for _, coeffs in terms:
+        total = list(map(add, total, coeffs))
+    return Series.from_coeffs(total)
 
 
 def closed_form(spec: NestedSumSpec, order: int) -> Series:

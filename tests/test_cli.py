@@ -2,14 +2,15 @@
 import contextlib
 import io
 import json
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgf import genfun
+from cylgf import genfun, lemmas
 from cylgf.cli import main
-from cylgf.cylindric import Profile
+from cylgf.cylindric import Profile, enumerate_table
 from cylgf.series import NotAUnitError
 from cylgf.slices import iter_slices
 
@@ -331,3 +332,40 @@ class TestVerbose:
             assert counters["nodes"] == len(list(
                 iter_slices(Profile((2, 1)), 12)))
             assert 0 < counters["pairs_contained"] <= counters["pairs_tested"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_count(self, capsys, fmt):
+        argv = ["count", "--profile", "2,1", "--order", "9", "--format", fmt]
+        code, plain, quiet = run(capsys, *argv)
+        code_v, out, err = run(capsys, *argv, "--verbose")
+        assert code == code_v == 0 and out == plain and quiet == ""
+        counters = json.loads(err)
+        assert counters.pop("seconds") >= 0
+        table = enumerate_table(Profile((2, 1)), 9)
+        assert counters == {"partitions": sum(map(sum, table.counts))}
+
+    @pytest.mark.parametrize("argv, identities, lemma_specs", [
+        (["--all", "--order", "12"], None, None),
+        (["--id", "1.4", "--order", "20"], 1, 0),
+        (["--id", "1.4", "--order", "20", "--format", "csv"], 1, 0),
+        (["--id", "gasper", "--z-power", "2", "--order", "20"], 1, 0),
+        (["--id", "L4.4(1,2,1)", "--order", "30"], 0, 1),
+        (["--id", "L4.1(2)", "--order", "30"], 0, 3),
+    ])
+    def test_verify(self, capsys, argv, identities, lemma_specs):
+        code, plain, quiet = run(capsys, "verify", *argv)
+        code_v, out, err = run(capsys, "verify", *argv, "--verbose")
+        assert code == code_v == 0 and out == plain and quiet == ""
+        counters = json.loads(err)
+        assert counters.pop("seconds") >= 0
+        if identities is None:
+            # one stdout line per identity and per lemma spec of the grid
+            grid = json.loads(files("cylgf.data").joinpath(
+                "verify_all.json").read_text())
+            lem = grid["lemmas"]
+            identities = len(grid["identities"])
+            lemma_specs = len(lemmas.grid(lem["n_max"], lem["m_max"],
+                                          lem["k_max"]))
+            assert len(out.splitlines()) == identities + lemma_specs
+        assert counters == {"identities": identities,
+                            "lemma_specs": lemma_specs}

@@ -1,5 +1,10 @@
 """Tests for profiles, validation, and the enumeration oracle."""
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylgf.cylindric import (CylindricPartition, InequalityError,
                              PartitionError, Profile, ProfileError, RowError,
@@ -22,6 +27,36 @@ def all_profiles(max_t):
         for level in range(1, max_t - r + 1):
             out.extend(Profile(c) for c in compositions(level, r))
     return out
+
+
+def partitions_upto(n):
+    """Every ordinary partition of size <= n, as a weakly decreasing tuple."""
+    out = []
+
+    def grow(prefix, room, cap):
+        out.append(tuple(prefix))
+        for v in range(min(room, cap), 0, -1):
+            grow(prefix + [v], room - v, v)
+
+    grow([], n, n)
+    return out
+
+
+def brute_partitions(profile, bound):
+    """Every r-tuple of partitions of total size <= bound that validate
+    accepts: the definition as a filter, with no pruning."""
+    pool = partitions_upto(bound)
+    found = set()
+    for rows in itertools.product(pool, repeat=profile.rank):
+        if sum(map(sum, rows)) <= bound:
+            try:
+                found.add(validate(profile, rows).rows)
+            except PartitionError:
+                pass
+    return found
+
+
+PROFILES = st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any)
 
 
 class TestProfile:
@@ -138,6 +173,28 @@ class TestEnumerate:
             a = enumerate_table(profile, 8)
             b = enumerate_table(profile.cyclic_shift(), 8)
             assert a.counts == b.counts, profile
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=PROFILES, bound=st.integers(0, 8))
+    def test_walk_histogram_and_validity(self, parts, bound):
+        # iter_partitions and enumerate_table come from the same walk
+        profile = Profile(tuple(parts))
+        found = iter_partitions(profile, bound)
+        histogram = Counter((cp.largest, cp.size) for cp in found)
+        counts = enumerate_table(profile, bound).counts
+        assert histogram == Counter({(m, n): k for m, row in enumerate(counts)
+                                     for n, k in enumerate(row) if k})
+        for cp in found:
+            assert validate(profile, cp.rows) == cp
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=PROFILES, bound=st.integers(0, 5))
+    def test_walk_equals_definition_filter(self, parts, bound):
+        # the pruned walk misses nothing the definition accepts
+        profile = Profile(tuple(parts))
+        rows = [cp.rows for cp in iter_partitions(profile, bound)]
+        assert len(rows) == len(set(rows))
+        assert set(rows) == brute_partitions(profile, bound)
 
     def test_rank_one_degenerate(self):
         # single row, parts no wider than c_1 apart: lambda_j >= lambda_{j+c_1}

@@ -1,11 +1,12 @@
 """Tests for the nested-sum identities and their closed forms."""
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, closed_form, grid,
                           nested_sum, report_line, verify_lemma)
-from cylgf.series import Series
+from cylgf.series import PochSpec, Series
 
 
 def geometric(shift, period, order):
@@ -24,6 +25,31 @@ def one_plus_q(exp, order):
     if exp <= order:
         f[exp] = 1
     return Series.from_coeffs(f)
+
+
+def brute_nested_sum(spec, order):
+    """The multi-sum from its definition: one Series.times term per explicit
+    tuple (k_1, ..., k_n).  Block i has degree >= 2K_i, so K_n <= order/2
+    bounds every tuple that reaches the order."""
+    e, blocks = spec.offset, spec.blocks
+    acc = Series.zero(order)
+    top = order // 2 + 1
+    for ks in itertools.product(range(1, top + 1), repeat=len(blocks)):
+        if sum(ks) > top:
+            continue
+        deg, den, big_k, big_m = 0, [], 0, 0
+        for k, m in zip(ks, blocks):
+            big_k += k
+            base = 2 * big_k + 2 * big_m
+            deg += sum(base + 2 * j - 1 + e for j in range(1, m + 1))
+            den += [PochSpec(-1, base + 2 * j + e, 1, 1) for j in range(m + 1)]
+            big_m += m
+        if deg <= order:
+            acc = acc + Series.monomial(deg, order).times((), den)
+    return acc
+
+
+BRUTE_ORDER = 30
 
 
 class TestSpec:
@@ -98,6 +124,17 @@ class TestNestedSum:
             den = one_plus_q(2 * k + 1, n) * one_plus_q(2 * k + 3, n)
             acc = acc + den.invert().shift(2 * k + 2)
         assert nested_sum(NestedSumSpec("B", (1,)), n) == acc
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chain_pass_equals_brute_force(self, family, n):
+        # every block vector with m_i in 1..3, at every order 0..30
+        for blocks in itertools.product([1, 2, 3], repeat=n):
+            spec = NestedSumSpec(family, blocks)
+            full = brute_nested_sum(spec, BRUTE_ORDER)
+            for order in range(BRUTE_ORDER + 1):
+                assert nested_sum(spec, order) == full.truncate(order), \
+                    (blocks, order)
 
     def test_truncation_soundness(self):
         for spec in [NestedSumSpec("A", (1, 2)), NestedSumSpec("B", (2,)),

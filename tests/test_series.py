@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpec,
                           PochSpecError, Series, UNBOUNDED, first_mismatch,
@@ -32,6 +34,36 @@ def rand_series(rng, order, unit=False):
     if unit:
         coeffs[0] = rng.choice([1, -1])
     return Series.from_coeffs(coeffs)
+
+
+COEFF = st.one_of(st.integers(-50, 50),
+                  st.fractions(-50, 50, max_denominator=6))
+
+
+@st.composite
+def series_triples(draw):
+    """Three series of one order, with int or rational coefficients."""
+    order = draw(st.integers(0, 8))
+    coeffs = st.lists(COEFF, min_size=order + 1, max_size=order + 1)
+    return tuple(Series.from_coeffs(draw(coeffs)) for _ in range(3))
+
+
+class TestRingLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(series_triples())
+    def test_commutative_associative_distributive(self, abc):
+        a, b, c = abc
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_triples(), st.sampled_from([1, -1]))
+    def test_unit_times_inverse_is_one(self, abc, c0):
+        a = Series.from_coeffs((c0,) + abc[0].coeffs[1:])
+        assert a * a.invert() == Series.one(a.order)
 
 
 class TestArithmetic:

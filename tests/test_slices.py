@@ -131,6 +131,15 @@ class TestDecomposeRecompose:
             for cp in iter_partitions(profile, 8):
                 assert recompose_or_empty(decompose(cp), profile) == cp
 
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any),
+           bound=st.integers(1, 8), pick=st.integers(0, 10 ** 6))
+    def test_round_trip_property(self, parts, bound, pick):
+        profile = Profile(tuple(parts))
+        nonempty = [cp for cp in iter_partitions(profile, bound) if cp.size]
+        cp = nonempty[pick % len(nonempty)]
+        assert recompose(decompose(cp)) == cp
+
     def test_containment_violation(self):
         p = Profile((1, 1))
         with pytest.raises(SliceError):
