@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
-(parse errors, unknown identity tags, malformed or invalid partitions,
-unreadable or unwritable files), 3 for internal contract violations and any
-other unexpected exception.  All file output ends with a trailing newline
-and is byte-identical across runs of the same command.  `--verbose` on
-`expand`, `count` and `verify` also writes the command's work counters and
-time to stderr as one JSON object.
+(parse errors and unknown options, unknown identity tags or extra lemma
+parameters, `--z-power` without `--id gasper`, malformed or invalid
+partitions, unreadable or unwritable files), 3 for internal contract
+violations and any other unexpected exception.  All file output ends with a
+trailing newline and is byte-identical across runs of the same command.
+`--verbose`, taken by `expand`, `count` and `verify` only, also writes the
+command's work counters and time to stderr as one JSON object.
 """
 from __future__ import annotations
 
@@ -128,6 +129,8 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
 
 
 def cmd_verify(args) -> int:
+    if args.z_power is not None and (args.all or args.id != "gasper"):
+        raise UsageError("--z-power applies only to --id gasper")
     lines: list[str] = []
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
@@ -213,14 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "and cross-checked three independent ways.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True, order=True):
-        if profile:
-            sp.add_argument("--profile", required=True,
-                            help="comma-separated profile, e.g. 2,1")
-        if order:
-            sp.add_argument("--order", type=_int_at_least(0), required=True,
-                            help="truncation degree N")
+    def profile_and_out(sp):
+        sp.add_argument("--profile", required=True,
+                        help="comma-separated profile, e.g. 2,1")
         sp.add_argument("--out", help="write output to this file")
+
+    def common(sp):
+        profile_and_out(sp)
+        sp.add_argument("--order", type=_int_at_least(0), required=True,
+                        help="truncation degree N")
         sp.add_argument("--verbose", action="store_true")
 
     sp = sub.add_parser("expand", help="coefficients of F_c(1,q)")
@@ -236,9 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("flow", help="slice-flow graph as DOT")
-    common(sp, order=False)
+    profile_and_out(sp)
     sp.add_argument("--max-weight", type=_int_at_least(1), required=True)
-    sp.add_argument("--format", choices=["dot"], default="dot")
     sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("verify", help="audit series identities and lemmas")
@@ -246,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all", action="store_true",
                     help="run the pinned verification grid")
     sp.add_argument("--order", type=_int_at_least(0), default=None)
-    sp.add_argument("--z-power", type=int, default=None)
+    sp.add_argument("--z-power", type=int, default=None,
+                    help="z = q^Z, only with --id gasper")
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--out", help="write output to this file")
     sp.add_argument("--verbose", action="store_true")
@@ -257,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--file", help="path to a JSON partition file")
     sp.add_argument("--boards", action="store_true", help="ASCII boards too")
     sp.add_argument("--out", help="write output to this file")
-    sp.add_argument("--verbose", action="store_true")
     sp.set_defaults(fn=cmd_decompose)
     return p
 

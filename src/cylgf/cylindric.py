@@ -10,6 +10,7 @@ the partitions from the same walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 from .series import Series
 
@@ -32,17 +33,21 @@ class RowError(PartitionError):
 
 
 class InequalityError(PartitionError):
-    """First violated cyclic inequality, with 1-based (row, part) position."""
+    """First violated cyclic inequality, with 1-based (row, part) position.
+
+    The message is formatted when it is read: most of these errors are
+    raised and caught by callers that only test validity.
+    """
 
     def __init__(self, row_index: int, part_index: int, lhs: int, rhs: int):
         self.row_index = row_index
         self.part_index = part_index
         self.lhs = lhs
         self.rhs = rhs
-        super().__init__(
-            f"lambda^({row_index})_{part_index} = {lhs} < {rhs} "
-            "(required >= by the profile shift)"
-        )
+
+    def __str__(self) -> str:
+        return (f"lambda^({self.row_index})_{self.part_index} = {self.lhs} "
+                f"< {self.rhs} (required >= by the profile shift)")
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,6 @@ class Profile:
             raise ProfileError(f"profile parts must be >= 0: {self.parts}")
         if sum(self.parts) < 1:
             raise ProfileError("the all-zero profile (level 0) is rejected")
-
-    @classmethod
-    def of(cls, *parts: int) -> Profile:
-        return cls(tuple(parts))
 
     @property
     def rank(self) -> int:
@@ -91,13 +92,6 @@ class Profile:
         return "(" + ",".join(str(c) for c in self.parts) + ")"
 
 
-def _strip(row) -> tuple[int, ...]:
-    row = list(row)
-    while row and row[-1] == 0:
-        row.pop()
-    return tuple(row)
-
-
 @dataclass(frozen=True)
 class CylindricPartition:
     """r ordinary partitions satisfying the cyclic shift inequalities.
@@ -117,41 +111,37 @@ class CylindricPartition:
     def largest(self) -> int:
         return max((row[0] for row in self.rows if row), default=0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": list(self.profile.parts),
-            "rows": [list(row) for row in self.rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CylindricPartition:
-        return validate(Profile(tuple(data["profile"])), data["rows"])
-
 
 def validate(profile: Profile, rows) -> CylindricPartition:
     """Check the definition inequalities; raise the first violation found.
 
-    Out-of-range entries count as 0, which makes rows of unequal lengths
-    comparable.  Row and part indices in errors are 1-based.
+    `rows` is a sequence of r iterables of ints.  Trailing zeros are
+    stripped, and out-of-range entries count as 0, which makes rows of
+    unequal lengths comparable.  Row and part indices in errors are 1-based.
     """
-    rows = [_strip(r) for r in rows]
     r = profile.rank
     if len(rows) != r:
         raise PartitionError(f"expected {r} rows, got {len(rows)}")
+    stripped = []
     for i, row in enumerate(rows):
-        if row and min(row) <= 0:
-            raise RowError(i, row, "contains a nonpositive part")
-        if list(row) != sorted(row, reverse=True):
-            raise RowError(i, row, "is not weakly decreasing")
-    for i in range(r):
-        upper = rows[i]
-        lower = rows[(i + 1) % r]
-        shift = profile.parts[(i + 1) % r]
-        # upper[j] >= lower[j + shift] for all j (1-based), zeros off the end
-        for j in range(len(lower) - shift):
+        row = tuple(row)
+        while row and row[-1] == 0:
+            row = row[:-1]
+        # with no ascent the last part is the least, so one test covers both
+        if row and (row[-1] <= 0 or any(map(lt, row, row[1:]))):
+            raise RowError(i, row, "contains a nonpositive part"
+                           if min(row) <= 0 else "is not weakly decreasing")
+        stripped.append(row)
+    rows = stripped
+    c = profile.parts
+    # row i (1-based) against row i + 1 cyclically, which is shifted by
+    # c_{i+1}: upper[j] >= lower[j + shift] for all j, zeros off the end
+    for i, (upper, lower, shift) in enumerate(
+            zip(rows, rows[1:] + rows[:1], c[1:] + c[:1]), 1):
+        for j, low in enumerate(lower[shift:]):
             up = upper[j] if j < len(upper) else 0
-            if up < lower[j + shift]:
-                raise InequalityError(i + 1, j + 1, up, lower[j + shift])
+            if up < low:
+                raise InequalityError(i, j + 1, up, low)
     return CylindricPartition(profile, tuple(rows))
 
 

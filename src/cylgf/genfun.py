@@ -154,14 +154,6 @@ def _sum_series(order, degree, numerator=None, denominator=None, coeff=1, start=
     return acc
 
 
-def _inf(sign, start, step):
-    return PochSpec(sign, start, step)
-
-
-def _fin(sign, start, step, count):
-    return PochSpec(sign, start, step, count)
-
-
 def catalog_sides(tag: str, order: int, z_power: int | None = None):
     """(lhs, rhs) of a named series identity, both truncated at the order.
 
@@ -170,71 +162,80 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
     """
     N = order
     if tag == "1.2":
-        lhs = product_expr([_inf(-1, 1, 2)], [_inf(1, 1, 1)], N)
+        lhs = product_expr([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)], N)
         rhs = product_expr(
-            [], [_inf(1, 4, 4), _inf(1, 1, 4), _inf(1, 1, 4),
-                 _inf(1, 3, 4), _inf(1, 3, 4)], N)
+            [], [PochSpec(1, 4, 4), PochSpec(1, 1, 4), PochSpec(1, 1, 4),
+                 PochSpec(1, 3, 4), PochSpec(1, 3, 4)], N)
         return lhs, rhs
     if tag == "1.3":
-        lhs = product_expr([_inf(-1, 2, 2)], [_inf(1, 1, 1)], N)
-        rhs = product_expr([], [_inf(1, 1, 1), _inf(1, 2, 4)], N)
+        lhs = product_expr([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)], N)
+        rhs = product_expr([], [PochSpec(1, 1, 1), PochSpec(1, 2, 4)], N)
         return lhs, rhs
     if tag == "1.4":
         s = _sum_series(N, lambda n: n * n,
-                        denominator=lambda n: [_fin(1, 4, 4, n)])
-        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
-        rhs = product_expr([], [_inf(1, 1, 1), _inf(1, 1, 5), _inf(1, 4, 5)], N)
+                        denominator=lambda n: [PochSpec(1, 4, 4, n)])
+        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
+        rhs = product_expr(
+            [], [PochSpec(1, 1, 1), PochSpec(1, 1, 5), PochSpec(1, 4, 5)], N)
         return lhs, rhs
     if tag == "1.5":
         s = _sum_series(N, lambda n: n * n + 2 * n,
-                        denominator=lambda n: [_fin(1, 4, 4, n)])
-        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
-        rhs = product_expr([], [_inf(1, 1, 1), _inf(1, 2, 5), _inf(1, 3, 5)], N)
+                        denominator=lambda n: [PochSpec(1, 4, 4, n)])
+        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
+        rhs = product_expr(
+            [], [PochSpec(1, 1, 1), PochSpec(1, 2, 5), PochSpec(1, 3, 5)], N)
         return lhs, rhs
     if tag == "1.6":
         s = _sum_series(N, lambda n: n * (n + 1),
-                        numerator=lambda n: [_fin(-1, 2, 2, n)],
-                        denominator=lambda n: [_fin(-1, 3, 2, n), _fin(1, 2, 2, n)])
-        lhs = s.times([_inf(-1, 3, 2)], [_inf(1, 1, 1)])
+                        numerator=lambda n: [PochSpec(-1, 2, 2, n)],
+                        denominator=lambda n: [PochSpec(-1, 3, 2, n),
+                                               PochSpec(1, 2, 2, n)])
+        lhs = s.times([PochSpec(-1, 3, 2)], [PochSpec(1, 1, 1)])
         rhs = product_expr(
-            [], [_inf(1, 1, 1), _inf(1, 2, 6), _inf(1, 3, 6), _inf(1, 4, 6)], N)
+            [], [PochSpec(1, 1, 1), PochSpec(1, 2, 6), PochSpec(1, 3, 6),
+                 PochSpec(1, 4, 6)], N)
         return lhs, rhs
     if tag == "1.7":
         s = Series.one(N) + _sum_series(
             N, lambda n: n * (n + 1),
-            numerator=lambda n: [_fin(-1, 2, 2, n - 1)],
-            denominator=lambda n: [_fin(1, 2, 2, n), _fin(-1, 1, 2, n)],
+            numerator=lambda n: [PochSpec(-1, 2, 2, n - 1)],
+            denominator=lambda n: [PochSpec(1, 2, 2, n), PochSpec(-1, 1, 2, n)],
             coeff=2, start=1)
-        lhs = s.times([_inf(-1, 1, 2)], [_inf(1, 1, 1)])
+        lhs = s.times([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)])
         rhs = product_expr(
-            [], [_inf(1, 6, 6),
-                 _inf(1, 1, 6), _inf(1, 1, 6), _inf(1, 2, 6), _inf(1, 2, 6),
-                 _inf(1, 4, 6), _inf(1, 4, 6), _inf(1, 5, 6), _inf(1, 5, 6)], N)
+            [], [PochSpec(1, 6, 6),
+                 PochSpec(1, 1, 6), PochSpec(1, 1, 6),
+                 PochSpec(1, 2, 6), PochSpec(1, 2, 6),
+                 PochSpec(1, 4, 6), PochSpec(1, 4, 6),
+                 PochSpec(1, 5, 6), PochSpec(1, 5, 6)], N)
         return lhs, rhs
     if tag == "1.8":
         s = _sum_series(N, lambda n: n * n,
-                        denominator=lambda n: [_fin(1, 2, 2, n)])
-        lhs = s.times([_inf(-1, 2, 2)], [_inf(1, 1, 1)])
+                        denominator=lambda n: [PochSpec(1, 2, 2, n)])
+        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
         rhs = product_expr(
-            [], [_inf(1, 1, 1), _inf(1, 1, 6), _inf(1, 3, 6), _inf(1, 5, 6)], N)
+            [], [PochSpec(1, 1, 1), PochSpec(1, 1, 6), PochSpec(1, 3, 6),
+                 PochSpec(1, 5, 6)], N)
         return lhs, rhs
     if tag == "A1":
         lhs = _sum_series(N, lambda n: n * n,
-                          denominator=lambda n: [_fin(1, 4, 4, n)])
-        rhs = product_expr([], [_inf(-1, 2, 2), _inf(1, 1, 5), _inf(1, 4, 5)], N)
+                          denominator=lambda n: [PochSpec(1, 4, 4, n)])
+        rhs = product_expr(
+            [], [PochSpec(-1, 2, 2), PochSpec(1, 1, 5), PochSpec(1, 4, 5)], N)
         return lhs, rhs
     if tag == "A2":
         lhs = _sum_series(N, lambda n: n * n + 2 * n,
-                          denominator=lambda n: [_fin(1, 4, 4, n)])
-        rhs = product_expr([], [_inf(-1, 2, 2), _inf(1, 2, 5), _inf(1, 3, 5)], N)
+                          denominator=lambda n: [PochSpec(1, 4, 4, n)])
+        rhs = product_expr(
+            [], [PochSpec(-1, 2, 2), PochSpec(1, 2, 5), PochSpec(1, 3, 5)], N)
         return lhs, rhs
     if tag == "gasper":
         j = z_power
         if j is None or j < 1:
             raise UnknownIdentityError("gasper needs z_power >= 1")
         lhs = _sum_series(N, lambda n: n * (n - 1) // 2 + j * n,
-                          denominator=lambda n: [_fin(1, 1, 1, n)])
-        rhs = pochhammer(_inf(-1, j, 1), N)
+                          denominator=lambda n: [PochSpec(1, 1, 1, n)])
+        rhs = pochhammer(PochSpec(-1, j, 1), N)
         return lhs, rhs
     raise UnknownIdentityError(f"unknown identity tag {tag!r}")
 
@@ -267,29 +268,16 @@ DUALITY_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    degree: int
-    lhs: object
-    rhs: object
-
-
-def verify_equal(a: Series, b: Series) -> Mismatch | None:
-    """None when equal; otherwise the earliest differing degree and values."""
-    bad = first_mismatch(a, b)
-    return None if bad is None else Mismatch(*bad)
-
-
 def verify_identity(tag: str, order: int, z_power: int | None = None):
-    """Route a catalog or lemma tag to its evaluator; None means PASS."""
+    """Route a catalog or lemma tag to its evaluator; None means PASS,
+    otherwise the first Mismatch found."""
     if tag.startswith("L"):
         for spec in lemmas_for_tag(tag):
             bad = lemmas.verify_lemma(spec, order)
             if bad is not None:
-                return Mismatch(*bad)
+                return bad
         return None
-    lhs, rhs = catalog_sides(tag, order, z_power)
-    return verify_equal(lhs, rhs)
+    return first_mismatch(*catalog_sides(tag, order, z_power))
 
 
 def lemmas_for_tag(tag: str) -> list:
@@ -307,6 +295,9 @@ def lemmas_for_tag(tag: str) -> list:
         raise UnknownIdentityError(f"unknown lemma tag {tag!r}")
     family = "A" if group == 4 else ("C" if number == 5 else "B")
     if number == 1:
+        if len(args) > 2:
+            raise UnknownIdentityError(
+                f"{tag}: expected 1 or 2 parameters, got {len(args)}")
         k = args[0]
         ms = [args[1]] if len(args) > 1 else [1, 2, 3]
         return [lemmas.NestedSumSpec(family, (mm,), fixed_k=k) for mm in ms]

@@ -160,7 +160,7 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
 
 
 def verify_lemma(spec: NestedSumSpec, order: int):
-    """None on success, else (degree, sum_coeff, closed_coeff)."""
+    """None on success, else the Mismatch of sum (lhs) and closed form (rhs)."""
     return first_mismatch(nested_sum(spec, order), closed_form(spec, order))
 
 
@@ -182,7 +182,7 @@ def grid(n_max: int = 3, m_max: int = 3, k_max: int = 6):
 def report_line(spec: NestedSumSpec, order: int) -> tuple[str, bool]:
     """One CSV-ish audit line: family,n,m_vec,k_or_-,order,status."""
     bad = verify_lemma(spec, order)
-    status = "PASS" if bad is None else f"FAIL@q^{bad[0]}"
+    status = "PASS" if bad is None else f"FAIL@q^{bad.degree}"
     k = "-" if spec.fixed_k is None else str(spec.fixed_k)
     m_vec = "+".join(str(m) for m in spec.blocks)
     line = f"{spec.family},{len(spec.blocks)},{m_vec},{k},{order},{status}"

@@ -11,7 +11,7 @@ import string
 from dataclasses import dataclass
 from math import comb
 
-from .cylindric import CylindricPartition, PartitionError, Profile, validate
+from .cylindric import CylindricPartition, Profile
 
 
 class SliceError(ValueError):
@@ -55,13 +55,6 @@ class Slice:
         r = self.profile.rank
         return all(t[(i + 1) % r] <= t[i] + c[(i + 1) % r] for i in range(r))
 
-    def to_json_dict(self) -> dict:
-        return {"profile": list(self.profile.parts), "white": list(self.white)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Slice:
-        return cls(Profile(tuple(data["profile"])), tuple(data["white"]))
-
 
 def shape(s: Slice) -> tuple[int, ...]:
     """Row-length differences against the last row; (r-1)-tuple.
@@ -96,12 +89,11 @@ def decompose(cp: CylindricPartition) -> list[Slice]:
     return out
 
 
-def recompose(levels: list[Slice]) -> CylindricPartition:
-    """Inverse of decompose: part j of row i counts levels with t_i >= j."""
-    if not levels:
-        raise SliceError("recompose needs at least one slice (or use the "
-                         "empty partition directly)")
-    profile = levels[0].profile
+def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
+    """Inverse of decompose: part j of row i counts levels with t_i >= j.
+
+    No levels give the empty partition of the profile.
+    """
     for k, s in enumerate(levels):
         if s.profile != profile:
             raise SliceError("profile mismatch among levels")
@@ -112,17 +104,11 @@ def recompose(levels: list[Slice]) -> CylindricPartition:
             )
     rows = []
     for i in range(profile.rank):
-        depth = max(s.white[i] for s in levels)
+        depth = max((s.white[i] for s in levels), default=0)
         rows.append(tuple(
             sum(1 for s in levels if s.white[i] >= j) for j in range(1, depth + 1)
         ))
     return CylindricPartition(profile, tuple(rows))
-
-
-def recompose_or_empty(levels: list[Slice], profile: Profile) -> CylindricPartition:
-    if not levels:
-        return CylindricPartition(profile, ((),) * profile.rank)
-    return recompose(levels)
 
 
 def iter_slices(profile: Profile, max_weight: int):
@@ -242,13 +228,3 @@ def board(s: Slice) -> str:
     b = baseline(s.profile)
     lines = ["." * b[i] + "#" * s.white[i] for i in range(s.profile.rank)]
     return "\n".join(lines) + "\n"
-
-
-def validate_as_cylindric(s: Slice) -> bool:
-    """Cross-check: the 0/1 partition with rows 1^{t_i} passes validation."""
-    rows = [(1,) * t for t in s.white]
-    try:
-        validate(s.profile, rows)
-        return True
-    except PartitionError:
-        return False

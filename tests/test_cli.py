@@ -111,7 +111,7 @@ class TestCount:
 class TestFlow:
     def test_table_restriction(self, capsys):
         code, out, _ = run(capsys, "flow", "--profile", "2,1",
-                           "--max-weight", "4", "--format", "dot")
+                           "--max-weight", "4")
         assert code == 0
         assert out.count("->") == 9
         assert out.endswith("}\n")
@@ -233,6 +233,31 @@ class TestExitCodes:
             main(argv)
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == "" and "error:" in out.err
+
+    @pytest.mark.parametrize("argv", [
+        # options a command does not take
+        ["flow", "--profile", "2,1", "--max-weight", "2", "--verbose"],
+        ["flow", "--profile", "2,1", "--max-weight", "2", "--format", "dot"],
+        ["decompose", "--json", TestDecompose.PART, "--verbose"],
+        # a fixed-k lemma tag takes k and at most one block length
+        ["verify", "--id", "L4.1(3,2,5)", "--order", "10"],
+        ["verify", "--id", "L5.1(3,2,99)", "--order", "10"],
+        # z = q^Z belongs to the gasper identity alone
+        ["verify", "--id", "1.2", "--z-power", "3", "--order", "5"],
+        ["verify", "--id", "1.2", "--z-power", "3", "--order", "5",
+         "--format", "csv"],
+        ["verify", "--id", "L4.2(2)", "--z-power", "1", "--order", "5"],
+        ["verify", "--all", "--z-power", "2", "--order", "5"],
+        ["verify", "--all", "--id", "gasper", "--z-power", "2", "--order", "5"],
+    ])
+    def test_rejected_input(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option
+            code = exc.code
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "error:" in out.err and "Traceback" not in out.err
 
     def test_internal_key_error_is_not_bad_input(self, capsys, monkeypatch):
         def broken(profile, order):
