@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 (parse errors and unknown options, unknown identity tags or extra lemma
-parameters, `--z-power` without `--id gasper`, malformed or invalid
-partitions, unreadable or unwritable files), 3 for internal contract
-violations and any other unexpected exception.  All file output ends with a
-trailing newline and is byte-identical across runs of the same command.
+parameters, `--z-power` without `--id gasper`, `--format csv` without a
+catalog identity, malformed or invalid partitions, unreadable or unwritable
+files), 3 for internal contract violations and any other unexpected
+exception.  All file output ends with a trailing newline and is
+byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
 command's work counters and time to stderr as one JSON object.
 """
@@ -77,9 +78,8 @@ def cmd_expand(args) -> int:
         distinct = args.method == "chain-distinct"
         gf = genfun.chain_series(profile, args.order, distinct)
         series = gf.marginal()
-        counters = {"nodes": gf.nodes, "pairs_tested": gf.pairs_tested,
-                    "pairs_contained": gf.pairs_contained,
-                    "slot_bits": gf.slot_bits}
+        counters = {"nodes": gf.nodes, "shapes": gf.shapes,
+                    "shape_pairs": gf.shape_pairs, "slot_bits": gf.slot_bits}
     _report(args, counters, start)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()), args.out)
@@ -131,6 +131,8 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
 def cmd_verify(args) -> int:
     if args.z_power is not None and (args.all or args.id != "gasper"):
         raise UsageError("--z-power applies only to --id gasper")
+    if args.format == "csv" and (args.all or (args.id or "").startswith("L")):
+        raise UsageError("--format csv applies only to a catalog identity")
     lines: list[str] = []
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
@@ -152,7 +154,7 @@ def cmd_verify(args) -> int:
             ok &= good
     elif args.id:
         order = args.order if args.order is not None else 40
-        if args.format == "csv" and not args.id.startswith("L"):
+        if args.format == "csv":
             lhs, rhs = genfun.catalog_sides(args.id, order, args.z_power)
             work["identities"] += 1
             lines.append("degree,lhs,rhs,equal")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import lemmas
 from .cylindric import Profile
 from .series import PochSpec, Series, first_mismatch, pochhammer, product_expr
-from .slices import contains, iter_slices
+from .slices import baseline, shape_difference, shape_floors
 
 
 class FormulaError(ValueError):
@@ -67,18 +67,15 @@ class ChainGF:
     order: int
     distinct: bool
     table: tuple[tuple[int, ...], ...]
-    # work done: slices, containment tests and hits, packed slot width
+    # work done: slices, shapes, prefix sums added, packed slot width
     nodes: int = field(default=0, compare=False)
-    pairs_tested: int = field(default=0, compare=False)
-    pairs_contained: int = field(default=0, compare=False)
+    shapes: int = field(default=0, compare=False)
+    shape_pairs: int = field(default=0, compare=False)
     slot_bits: int = field(default=0, compare=False)
 
     def marginal(self) -> Series:
         """Specialization z = 1."""
-        n = self.order
-        return Series.from_coeffs(
-            sum(self.table[m][k] for m in range(n + 1)) for k in range(n + 1)
-        )
+        return Series.from_coeffs(map(sum, zip(*self.table)))
 
 
 def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainGF:
@@ -90,9 +87,18 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
     z-degree of a chain is its total number of levels, which is the largest
     part of the recomposed cylindric partition.
 
-    Slices are processed in (weight, white) order; strict containment only
-    ever points from strictly lighter slices, so a single pass suffices.
-    g(s) collects all chains whose largest (bottom) slice is s.
+    A slice is a shape letter sigma with a last-row length L
+    (`slices.shape_floors`), and (sigma', L') lies inside (sigma, L) exactly
+    when L - L' >= d(sigma', sigma) = max(0, max_j (sigma'_j - sigma_j)),
+    the weighted-words difference condition.  Strictly inside means
+    L - L' >= e(sigma', sigma), with e = d for sigma' != sigma and e = 1 for
+    sigma' = sigma.  g(sigma, L) collects the chains whose largest (bottom)
+    slice is (sigma, L), and P_sigma[L] = sum of g(sigma, L'') over L'' <= L,
+    so the chains below (sigma, L), with the empty one, number
+    inner = 1 + sum over sigma' of P_sigma'[L - e(sigma', sigma)].  Slices
+    are visited in (L, sum(sigma)) order: an inner slice has a smaller L,
+    or the same L (d = 0) and a smaller shape sum, so every prefix read is
+    complete.
 
     Each (z, q) table is one int (Kronecker substitution): z^m q^k sits in
     the B-bit slot k*(N+1) + m, so a table add is one big-int add.  An entry
@@ -102,36 +108,60 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
     carries into the next.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
     Nonzero cells have m <= k and w >= 1, so a term with k + jw <= N has
     m + j <= N and keeps its row; a term past q^N lands at slot (N+1)^2 or
-    above, where the mask drops it.
+    above, where the mask drops it.  The repetition sum over
+    j = 1 .. floor(N/w) is built by doubling, S <- S + S * (z q^w)^span with
+    span = 1, 2, 4, ...: about log2(N/w) steps, and the terms with
+    j > floor(N/w) it adds have q-degree past N, so the mask drops them.
     """
     n, side = order, order + 1
     bound = Series.one(n).times((), [PochSpec(1, 1, 1)] * profile.rank)
     bits = bound.coeffs[n].bit_length()
     mask = (1 << (side * side * bits)) - 1
-    nodes = list(iter_slices(profile, n))
-    weights = [s.weight for s in nodes]
-    g: list[int] = []
-    tested = contained = 0
-    for s, w in zip(nodes, weights):
-        inner = 1
-        for s2, w2, g2 in zip(nodes, weights, g):
-            if w2 < w:
-                tested += 1
-                if contains(s2, s):
-                    contained += 1
-                    inner += g2
-        cur = 0
-        for _ in range(1 if distinct else n // w):
-            inner = (inner << (w * side + 1) * bits) & mask
-            cur += inner
-        g.append(cur)
+    r, base = profile.rank, sum(baseline(profile))
+    floors = shape_floors(profile)
+    # the shapes with a slice of weight sum(sigma) + r*L - sum(b) <= N:
+    # sigma, sum(sigma) and the range of L
+    letters = []
+    for sh, low in floors.items():
+        size = sum(sh)
+        high = (n + base - size) // r
+        if low <= high:
+            letters.append((sh, size, low, high))
+    # per letter sigma, pairs (sigma', L_min(sigma') + e(sigma', sigma)): at
+    # last-row length L, P_sigma' is read at list index L minus that offset
+    reads = [[(k2, low2 + (1 if k2 == k else shape_difference(sh2, sh)))
+              for k2, (sh2, _, low2, _) in enumerate(letters)]
+             for k, (sh, _, _, _) in enumerate(letters)]
+    prefix: list[list[int]] = [[] for _ in letters]
+    nodes = pairs = 0
+    for length in range(min((x[2] for x in letters), default=1),
+                        max((x[3] for x in letters), default=0) + 1):
+        for k, (_, size, low, high) in enumerate(letters):
+            if not low <= length <= high:
+                continue
+            terms = [prefix[k2][length - off] for k2, off in reads[k]
+                     if off <= length]
+            pairs += len(terms)
+            inner = 1 + sum(terms)
+            w = size + r * length - base
+            span = (w * side + 1) * bits
+            cur = (inner << span) & mask
+            if not distinct:
+                reps = 1
+                while reps < n // w:
+                    cur = (cur + (cur << span)) & mask
+                    span *= 2
+                    reps *= 2
+            p = prefix[k]
+            p.append(p[-1] + cur if p else cur)
+            nodes += 1
 
-    total = 1 + sum(g)
+    total = 1 + sum(p[-1] for p in prefix)
     row_mask, slot_mask = (1 << side * bits) - 1, (1 << bits) - 1
     rows = [total >> k * side * bits & row_mask for k in range(side)]
     table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
                   for m in range(side))
-    return ChainGF(profile, n, distinct, table, len(nodes), tested, contained,
+    return ChainGF(profile, n, distinct, table, nodes, len(floors), pairs,
                    bits)
 
 

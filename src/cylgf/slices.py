@@ -3,7 +3,9 @@
 A slice records, per row, how many white squares sit to the right of the
 gray staircase the profile induces.  Everything downstream (containment,
 shapes, minimal representatives, the single-square flow graph) is phrased
-in terms of these white counts.
+in terms of these white counts.  A valid slice is also a pair (sigma, L) of
+its shape and its last-row length; `shape_floors` and `shape_difference`
+describe slices and their containment that way, for the chain DP.
 """
 from __future__ import annotations
 
@@ -147,23 +149,56 @@ def shape_count(profile: Profile) -> int:
     return comb(profile.level + profile.rank - 1, profile.rank - 1)
 
 
+def _shapes(top: int, length: int):
+    """Weakly decreasing length-tuples with entries in [0, top]."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(top + 1):
+        for rest in _shapes(first, length - 1):
+            yield (first,) + rest
+
+
+def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
+    """Each shape with the least last-row length of a non-empty slice of it.
+
+    A valid slice is a pair (sigma, L): its shape sigma, with
+    level >= sigma_1 >= ... >= sigma_{r-1} >= 0, and its last-row length
+    L = b_r + t_r.  Its white counts are t_j = sigma_j + L - b_j and
+    t_r = L - b_r, so L >= max(b_r, max_j (b_j - sigma_j)); the all-gray
+    shape (that of the empty slice) starts one higher, at the slice with
+    one white square in every row.  Its weight is sum(sigma) + r*L - sum(b).
+    Shapes come out in (sum(sigma), sigma) order, the order in which the
+    chain DP visits the slices of one last-row length.
+    """
+    b = baseline(profile)
+    gray = tuple(x - b[-1] for x in b[:-1])
+    shapes = sorted(_shapes(profile.level, profile.rank - 1),
+                    key=lambda sh: (sum(sh), sh))
+    return {sh: max([b[-1]] + [x - s for x, s in zip(b, sh)]) + (sh == gray)
+            for sh in shapes}
+
+
+def shape_difference(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
+    """d(sigma', sigma) = max(0, max_j (sigma'_j - sigma_j)).
+
+    The slice (sigma', L') lies inside (sigma, L) exactly when
+    L - L' >= d(sigma', sigma), since row j of a slice has length
+    sigma_j + L: the difference condition between the shape letters.
+    """
+    return max([0] + [a - b for a, b in zip(inner, outer)])
+
+
 def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:
     """Minimal positive-weight valid slice of each shape.
 
-    The all-gray shape (realized by the empty slice) gets its smallest
-    positive representative, which adds one white square to every row.
-    A scan up to weight rank*level + rank reaches every shape.
+    The slice (sigma, L) of least weight has the shape's floor L
+    (`shape_floors`); the all-gray shape's adds one white square to every
+    row.
     """
-    target = shape_count(profile)
-    out: dict[tuple[int, ...], Slice] = {}
-    bound = profile.rank * profile.level + profile.rank
-    for s in iter_slices(profile, bound):
-        sh = shape(s)
-        if sh not in out:
-            out[sh] = s
-            if len(out) == target:
-                break
-    return out
+    b = baseline(profile)
+    return {sh: Slice(profile, tuple(s + low - x for s, x in zip(sh + (0,), b)))
+            for sh, low in shape_floors(profile).items()}
 
 
 def shape_letters(profile: Profile) -> dict[tuple[int, ...], str]:

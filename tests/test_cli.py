@@ -12,7 +12,7 @@ from cylgf import genfun, lemmas
 from cylgf.cli import main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.series import NotAUnitError
-from cylgf.slices import iter_slices
+from cylgf.slices import iter_slices, shape_count
 
 
 def run(capsys, *argv):
@@ -249,6 +249,9 @@ class TestExitCodes:
         ["verify", "--id", "L4.2(2)", "--z-power", "1", "--order", "5"],
         ["verify", "--all", "--z-power", "2", "--order", "5"],
         ["verify", "--all", "--id", "gasper", "--z-power", "2", "--order", "5"],
+        # the csv table belongs to a catalog identity alone
+        ["verify", "--id", "L4.2(2)", "--order", "10", "--format", "csv"],
+        ["verify", "--all", "--order", "4", "--format", "csv"],
     ])
     def test_rejected_input(self, capsys, argv):
         try:
@@ -352,11 +355,13 @@ class TestVerbose:
             assert counters == {"factors": len(genfun.borodin_specs(
                 Profile((2, 1))))}
         else:
-            assert set(counters) == {"nodes", "pairs_tested",
-                                     "pairs_contained", "slot_bits"}
+            assert set(counters) == {"nodes", "shapes", "shape_pairs",
+                                     "slot_bits"}
             assert counters["nodes"] == len(list(
                 iter_slices(Profile((2, 1)), 12)))
-            assert 0 < counters["pairs_contained"] <= counters["pairs_tested"]
+            assert counters["shapes"] == shape_count(Profile((2, 1)))
+            assert (0 < counters["shape_pairs"]
+                    <= counters["nodes"] * counters["shapes"])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_count(self, capsys, fmt):

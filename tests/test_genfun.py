@@ -35,6 +35,35 @@ def partition_numbers(n):
     return p
 
 
+def scan_chain_table(profile, order, distinct=False):
+    """The chain DP as an O(V^2) containment scan, the reference for
+    chain_series: every lighter slice of weight <= N is tested with
+    `contains`, and a level of weight w repeated j <= N/w times is added one
+    shift at a time.  Same packed (z, q) tables; returns the table and the
+    number of slices."""
+    n, side = order, order + 1
+    bound = Series.one(n).times((), [PochSpec(1, 1, 1)] * profile.rank)
+    bits = bound.coeffs[n].bit_length()
+    mask = (1 << (side * side * bits)) - 1
+    nodes = list(iter_slices(profile, n))
+    g = []
+    for s in nodes:
+        w = s.weight
+        inner = 1 + sum(g2 for s2, g2 in zip(nodes, g)
+                        if s2.weight < w and contains(s2, s))
+        cur = 0
+        for _ in range(1 if distinct else n // w):
+            inner = (inner << (w * side + 1) * bits) & mask
+            cur += inner
+        g.append(cur)
+    total = 1 + sum(g)
+    row_mask, slot_mask = (1 << side * bits) - 1, (1 << bits) - 1
+    rows = [total >> k * side * bits & row_mask for k in range(side)]
+    table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
+                  for m in range(side))
+    return table, len(nodes)
+
+
 def distinct_chain_marginal(profile, n):
     """Chains with pairwise distinct levels, one q-series per slice, as lists."""
     nodes = list(iter_slices(profile, n))
@@ -142,6 +171,25 @@ class TestChainSeries:
     def test_chain_equals_borodin_at_benchmark_orders(self, parts, order):
         profile = Profile(parts)
         assert chain_series(profile, order).marginal() == borodin(profile, order)
+
+    def test_equals_scan_on_small_profiles(self):
+        from test_cylindric import all_profiles
+        for profile in all_profiles(7):
+            for order in range(13):
+                for distinct in (False, True):
+                    table, nodes = scan_chain_table(profile, order, distinct)
+                    g = chain_series(profile, order, distinct)
+                    assert g.table == table, (profile, order, distinct)
+                    assert g.nodes == nodes, (profile, order, distinct)
+
+    @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_equals_scan_past_benchmark_orders(self, parts, order, distinct):
+        for k in range(len(parts)):
+            profile = Profile(parts[k:] + parts[:k])
+            table, _ = scan_chain_table(profile, order + 1, distinct)
+            assert chain_series(profile, order + 1, distinct).table == table, \
+                profile
 
     @pytest.mark.parametrize("parts", [parts for parts, _ in CHAIN_ORBITS])
     def test_distinct_equals_list_dp(self, parts):

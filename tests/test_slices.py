@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
                           decompose, flow_graph, iter_slices, min_slices,
-                          recompose, shape, shape_count, shape_letters)
+                          recompose, shape, shape_count, shape_floors,
+                          shape_letters)
 from test_cylindric import all_profiles
 
 
@@ -184,6 +185,30 @@ class TestMinSlices:
         ms = min_slices(profile)
         assert len(ms) == shape_count(profile) == 3432
         assert ms[shape(Slice(profile, (0,) * 8))].white == (1,) * 8
+
+
+    @staticmethod
+    def scan_min_slices(profile):
+        """Least-weight slice of each shape by a scan over iter_slices in
+        weight order, up to rank*level + rank, stopping at the last shape."""
+        out = {}
+        r = profile.rank
+        for s in iter_slices(profile, r * profile.level + r):
+            out.setdefault(shape(s), s)
+            if len(out) == shape_count(profile):
+                break
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any))
+    def test_floors_match_scan(self, parts):
+        profile = Profile(tuple(parts))
+        scan = self.scan_min_slices(profile)
+        floors = shape_floors(profile)
+        assert len(floors) == shape_count(profile)
+        last = baseline(profile)[-1]
+        assert floors == {sh: last + s.white[-1] for sh, s in scan.items()}
+        assert min_slices(profile) == scan
 
 
 class TestIterSlices:
