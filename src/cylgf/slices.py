@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .cylindric import CylindricPartition, Profile
@@ -149,16 +150,6 @@ def shape_count(profile: Profile) -> int:
     return comb(profile.level + profile.rank - 1, profile.rank - 1)
 
 
-def _shapes(top: int, length: int):
-    """Weakly decreasing length-tuples with entries in [0, top]."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(top + 1):
-        for rest in _shapes(first, length - 1):
-            yield (first,) + rest
-
-
 def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
     """Each shape with the least last-row length of a non-empty slice of it.
 
@@ -173,7 +164,9 @@ def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
     """
     b = baseline(profile)
     gray = tuple(x - b[-1] for x in b[:-1])
-    shapes = sorted(_shapes(profile.level, profile.rank - 1),
+    # combinations of the descending range are the weakly decreasing tuples
+    shapes = sorted(combinations_with_replacement(range(profile.level, -1, -1),
+                                                  profile.rank - 1),
                     key=lambda sh: (sum(sh), sh))
     return {sh: max([b[-1]] + [x - s for x, s in zip(b, sh)]) + (sh == gray)
             for sh in shapes}

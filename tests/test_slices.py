@@ -186,7 +186,6 @@ class TestMinSlices:
         assert len(ms) == shape_count(profile) == 3432
         assert ms[shape(Slice(profile, (0,) * 8))].white == (1,) * 8
 
-
     @staticmethod
     def scan_min_slices(profile):
         """Least-weight slice of each shape by a scan over iter_slices in
