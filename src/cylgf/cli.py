@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 (parse errors and unknown options, unknown identity tags or extra lemma
 parameters, `--z-power` without `--id gasper`, `--format csv` without a
-catalog identity, malformed or invalid partitions, unreadable or unwritable
-files), 3 for internal contract violations and any other unexpected
+catalog identity, malformed or invalid partitions, partition JSON that is
+not UTF-8, nested past the recursion limit or holds an integer past the
+digit limit, unreadable or unwritable files), 3 for internal contract violations and any other unexpected
 exception.  All file output ends with a trailing newline and is
 byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
@@ -188,14 +189,22 @@ def _parse_partition(data) -> tuple[Profile, list]:
 def cmd_decompose(args) -> int:
     if args.file:
         try:
-            with open(args.file) as fh:
-                data = json.load(fh)
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.file}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read {args.file}: not UTF-8 text")
     elif args.json:
-        data = json.loads(args.json)
+        text = args.json
     else:
         raise UsageError("decompose needs --json or --file")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise UsageError("partition JSON is nested too deeply")
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise UsageError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
     cp = validate(profile, rows)
     letters = shape_letters(profile)
@@ -272,8 +281,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (UsageError, ProfileError, PartitionError, SliceError,
-            genfun.UnknownIdentityError, lemmas.LemmaSpecError,
-            json.JSONDecodeError) as exc:
+            genfun.UnknownIdentityError, lemmas.LemmaSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

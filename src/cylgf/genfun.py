@@ -114,7 +114,7 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
     j > floor(N/w) it adds have q-degree past N, so the mask drops them.
     """
     n, side = order, order + 1
-    bound = Series.one(n).times((), [PochSpec(1, 1, 1)] * profile.rank)
+    bound = product_expr([], [PochSpec(1, 1, 1)] * profile.rank, n)
     bits = bound.coeffs[n].bit_length()
     mask = (1 << (side * side * bits)) - 1
     r, base = profile.rank, sum(baseline(profile))

@@ -5,17 +5,22 @@ no floating point anywhere in this package.  A series of order N stores the
 coefficients of q^0 .. q^N and every binary operation demands equal orders,
 so precision is never lost silently.
 
-Products of q-Pochhammer factors (Series.times, pochhammer, product_expr)
-are expanded factor by factor with in-place recurrences on the coefficient
-list, one pass per factor.  The general ring operations `*` and `invert`
-are on no product path of the package: they stay as the slow reference the
-tests compare `times` against, and the benchmark's tracer wraps them by
-name.
+A product of q-Pochhammer factors that starts from 1 (pochhammer,
+product_expr) is expanded by the log-derivative recurrence: a_k is the net
+multiplicity of 1/(1 - q^k) over all factors, b_m = sum_{d | m} d*a_d, and
+n*p_n = sum_{k=1..n} b_k*p_{n-k}, where the division by n is exact because
+the product has integer coefficients.  That is N(N+1)/2 multiply-adds at
+order N, whatever the number of factors.  Series.times multiplies an
+arbitrary series by a few factors, with one in-place pass per factor.  The
+general ring operations `*` and `invert` are on no product path of the
+package: they stay as the slow reference the tests compare both kernels
+against, and the benchmark's tracer wraps them by name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 Coeff = int | Fraction
@@ -142,15 +147,7 @@ class Series:
         out[n] += s*out[n-e].  Factors (1 - s*q^0) are collected into one
         rational scalar applied at the end, so the recurrences stay on int.
         """
-        scalar = Fraction(1)
-        for spec in numerator:
-            if spec.start == 0 and spec.count != 0:
-                scalar *= 1 - spec.sign
-        for spec in denominator:
-            if spec.start == 0 and spec.count != 0:
-                if spec.sign == 1:
-                    raise NotAUnitError(f"denominator {spec} is not a unit")
-                scalar /= 2
+        scalar = _q0_scalar(numerator, denominator)
         order = self.order
         out = list(self.coeffs)
         # no factor lowers the degree, so coefficients below lo stay zero
@@ -185,6 +182,21 @@ class Series:
     def to_json_dict(self) -> dict:
         # str(Fraction(1, 2)) == "1/2"; integers stay bare decimal strings
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def _q0_scalar(numerator, denominator) -> Fraction:
+    """Product of the factors (1 - s*q^0): 1 - s for each numerator one and
+    1/2 for each denominator (1 + q^0); a denominator (1 - q^0) is no unit."""
+    scalar = Fraction(1)
+    for spec in numerator:
+        if spec.start == 0 and spec.count != 0:
+            scalar *= 1 - spec.sign
+    for spec in denominator:
+        if spec.start == 0 and spec.count != 0:
+            if spec.sign == 1:
+                raise NotAUnitError(f"denominator {spec} is not a unit")
+            scalar /= 2
+    return scalar
 
 
 class Mismatch(NamedTuple):
@@ -242,11 +254,52 @@ class PochSpec:
 
 def pochhammer(spec: PochSpec, order: int) -> Series:
     """Expand the product described by spec, truncated at the given order."""
-    return Series.one(order).times([spec])
+    return product_expr([spec], [], order)
 
 
 def product_expr(
     numerator: list[PochSpec], denominator: list[PochSpec], order: int
 ) -> Series:
-    """prod(numerators) * prod(1 / denominators) at the given order."""
-    return Series.one(order).times(numerator, denominator)
+    """prod(numerators) / prod(denominators) at the given order.
+
+    Every factor (1 - s*q^e) with e >= 1 is written in powers of 1/(1 - q^k),
+    with (1 + q^e) = (1 - q^2e) / (1 - q^e), so the product is
+    P = prod_k (1 - q^k)^(-a_k).  The net multiplicity a_k gets +1 for a
+    denominator (1 - q^k) and -1 for a numerator one; a (1 + q^e) moves a_e
+    and a_2e by -1 and +1 in a denominator, by +1 and -1 in a numerator.  Then q*P'/P = sum_m b_m q^m with b_m = sum_{d | m} d*a_d,
+    and comparing coefficients of q^n in q*P' = P * (q*P'/P) gives p_0 = 1
+    and n*p_n = sum_{k=1..n} b_k*p_{n-k}.  The division by n is exact, as P
+    has integer coefficients.
+
+    The cost is N(N+1)/2 multiply-adds of a small b_k into a big p_j at
+    order N, whatever the number of factors, each inner sum one C-level
+    `sum(map(mul, ...))`.  To multiply a series by a few finite factors,
+    `Series.times` is cheaper.  Factors (1 - s*q^0) are a scalar applied at
+    the end, as in `times`.
+    """
+    scalar = _q0_scalar(numerator, denominator)
+    if scalar == 0:
+        return Series.zero(order)
+    a = [0] * (order + 1)
+    for side, specs in ((-1, numerator), (1, denominator)):
+        for spec in specs:
+            for e in spec.exponents(order):
+                if spec.sign == 1:
+                    a[e] += side
+                else:
+                    a[e] -= side
+                    if 2 * e <= order:
+                        a[2 * e] += side
+    b = [0] * (order + 1)
+    for d in range(1, order + 1):
+        if a[d]:
+            w = d * a[d]
+            for m in range(d, order + 1, d):
+                b[m] += w
+    del b[0]  # b[k - 1] = b_k, which reversed(p) pairs with p_{n-k}
+    p = [1]
+    for n in range(1, order + 1):
+        p.append(sum(map(mul, b, reversed(p))) // n)
+    if scalar != 1:
+        p = [scalar * c for c in p]
+    return Series.from_coeffs(p)

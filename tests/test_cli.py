@@ -262,6 +262,25 @@ class TestExitCodes:
         assert code == 2 and out.out == ""
         assert "error:" in out.err and "Traceback" not in out.err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 5000 + b"]" * 5000,  # nested past the recursion limit
+        b'{"profile": [1' + b"0" * 5000 + b'], "rows": []}',  # int digit limit
+    ], ids=["not-utf8", "too-deep", "too-many-digits"])
+    @pytest.mark.parametrize("source", ["--json", "--file"])
+    def test_undecodable_partition(self, capsys, tmp_path, source, content):
+        if source == "--file":
+            path = tmp_path / "part.json"
+            path.write_bytes(content)
+            argv = ["decompose", "--file", str(path)]
+        else:
+            argv = ["decompose", "--json",
+                    content.decode("utf-8", "surrogateescape")]
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error:") and "Traceback" not in out.err
+
     def test_internal_key_error_is_not_bad_input(self, capsys, monkeypatch):
         def broken(profile, order):
             raise KeyError("bug")

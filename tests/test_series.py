@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylgf import genfun
+from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
 from cylgf.series import (Mismatch, NotAUnitError, OrderMismatchError,
                           PochSpec, PochSpecError, Series, UNBOUNDED,
                           first_mismatch, pochhammer, product_expr)
@@ -228,10 +230,12 @@ def slow_product(numerator, denominator, order):
     return num * den.invert()
 
 
-def rand_spec(rng, order):
-    """sign +-1, start 0-4, step 1-3; bounded counts may reach past the order."""
+def rand_spec(rng, order, max_start=4, max_step=3):
+    """sign +-1, start 0-max_start, step 1-max_step; bounded counts may reach
+    past the order."""
     while True:
-        sign, start, step = rng.choice([1, -1]), rng.randint(0, 4), rng.randint(1, 3)
+        sign = rng.choice([1, -1])
+        start, step = rng.randint(0, max_start), rng.randint(1, max_step)
         count = rng.choice([UNBOUNDED, rng.randint(0, order // step + 3)])
         if not (count is UNBOUNDED and start == 0 and sign == 1):
             return PochSpec(sign, start, step, count)
@@ -274,6 +278,63 @@ class TestTimes:
         spec = PochSpec(-1, 2, 3)
         assert pochhammer(spec, 9) == Series.one(9).times([spec])
         assert pochhammer(spec, 9) == slow_product([spec], [], 9)
+
+
+class TestRecurrence:
+    """product_expr (log-derivative recurrence) against Series.times on 1
+    (one pass per factor)."""
+
+    def test_borodin_products(self):
+        from test_cylindric import all_profiles
+        for profile in all_profiles(7):
+            den = borodin_specs(profile)
+            assert product_expr([], den, 200) == Series.one(200).times((), den), \
+                profile
+
+    def test_catalog_products(self, monkeypatch):
+        # every product_expr and pochhammer call of the catalog: the
+        # right-hand sides, and the left-hand sides of 1.2 and 1.3
+        calls = []
+
+        def record(num, den, order):
+            calls.append((num, den, order))
+            return product_expr(num, den, order)
+
+        monkeypatch.setattr(genfun, "product_expr", record)
+        monkeypatch.setattr(genfun, "pochhammer",
+                            lambda spec, order: record([spec], [], order))
+        for tag in IDENTITY_TAGS:
+            catalog_sides(tag, 300)
+        for j in (1, 2, 5):
+            catalog_sides("gasper", 300, j)
+        assert len(calls) == len(IDENTITY_TAGS) + 2 + 3
+        for num, den, order in calls:
+            assert product_expr(num, den, order) == \
+                Series.one(order).times(num, den), (num, den)
+
+    def test_matches_times_randomized(self):
+        rng = random.Random(8080)
+        seen = {"halves": 0, "zero": 0, "not_a_unit": 0, "one_plus_num": 0}
+        for _ in range(300):
+            order = rng.randint(0, 80)
+            num = [rand_spec(rng, order, 12, 12)
+                   for _ in range(rng.randint(0, 4))]
+            den = [rand_spec(rng, order, 12, 12)
+                   for _ in range(rng.randint(0, 4))]
+            try:
+                expected = Series.one(order).times(num, den)
+            except NotAUnitError:
+                seen["not_a_unit"] += 1
+                with pytest.raises(NotAUnitError, match="is not a unit"):
+                    product_expr(num, den, order)
+                continue
+            got = product_expr(num, den, order)
+            assert got == expected, (num, den, order)
+            seen["halves"] += any(isinstance(c, Fraction) for c in got.coeffs)
+            seen["zero"] += got == Series.zero(order)
+            seen["one_plus_num"] += any(spec.sign == -1 and spec.start > 0
+                                        for spec in num)
+        assert all(seen.values()), seen
 
 
 class TestMisc:
