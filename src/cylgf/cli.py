@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 parameters, `--z-power` without `--id gasper`, `--format csv` without a
 catalog identity, malformed or invalid partitions, partition JSON that is
 not UTF-8, nested past the recursion limit or holds an integer past the
-digit limit, unreadable or unwritable files), 3 for internal contract violations and any other unexpected
-exception.  All file output ends with a trailing newline and is
-byte-identical across runs of the same command.
+digit limit, unreadable or unwritable files), 3 for internal contract
+violations and any other unexpected exception.  All file output ends with
+a trailing newline and is byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
 command's work counters and time to stderr as one JSON object.
 """

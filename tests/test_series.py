@@ -297,8 +297,9 @@ class TestRecurrence:
         calls = []
 
         def record(num, den, order):
-            calls.append((num, den, order))
-            return product_expr(num, den, order)
+            got = product_expr(num, den, order)
+            calls.append((num, den, got))
+            return got
 
         monkeypatch.setattr(genfun, "product_expr", record)
         monkeypatch.setattr(genfun, "pochhammer",
@@ -308,9 +309,8 @@ class TestRecurrence:
         for j in (1, 2, 5):
             catalog_sides("gasper", 300, j)
         assert len(calls) == len(IDENTITY_TAGS) + 2 + 3
-        for num, den, order in calls:
-            assert product_expr(num, den, order) == \
-                Series.one(order).times(num, den), (num, den)
+        for num, den, got in calls:
+            assert got == Series.one(got.order).times(num, den), (num, den)
 
     def test_matches_times_randomized(self):
         rng = random.Random(8080)
