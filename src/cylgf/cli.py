@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
 (parse errors and unknown options, unknown identity tags or extra lemma
 parameters, `--z-power` without `--id gasper`, `--format csv` without a
-catalog identity, malformed or invalid partitions, partition JSON that is
-not UTF-8, nested past the recursion limit or holds an integer past the
-digit limit, unreadable or unwritable files), 3 for internal contract
-violations and any other unexpected exception.  All file output ends with
-a trailing newline and is byte-identical across runs of the same command.
+catalog identity, an option given the value `--`, malformed or invalid
+partitions, partition JSON that is not UTF-8, nested past the recursion
+limit or holds an integer past the digit limit, unreadable or unwritable
+files), 3 for internal contract violations and any other unexpected
+exception.  All file output ends with a trailing newline and is
+byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
 command's work counters and time to stderr as one JSON object.
 """
@@ -278,6 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse turns an explicit `--opt=--` into [] and skips the option's
+    # type and choices; no option here takes a list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name.replace('_', '-')}: "
+                  "expected a value, got '--'", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (UsageError, ProfileError, PartitionError, SliceError,

@@ -3,13 +3,16 @@
 * borodin: the closed-form infinite product for F_c(1, q).
 * chain_series: the slice-chain DP, refined by the largest-part statistic
   (z-degree) and the size (q-degree).
-* catalog_sides: a named catalog of series identities, each expanded on
-  both sides so they can be compared coefficient by coefficient.
+* catalog_sides: a table of named series identities, one row per tag,
+  read by one evaluator.  Each sum is kept by its term ratio and built term
+  from previous term; both sides are expanded so they can be compared
+  coefficient by coefficient.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import lemmas
 from .cylindric import Profile
@@ -166,111 +169,88 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
 
 
 # --- identity catalog ------------------------------------------------------
+# A row of _CATALOG is (sum or None, lhs numerator, lhs denominator, rhs
+# denominator), a product (sign, start, step) being PochSpec(sign, start,
+# step).  A sum family (sign, start, step, offset) is PochSpec(sign, start,
+# step, n + offset) in term n, so term n is term n - 1 shifted by degree(n) -
+# degree(n - 1) and times one factor of exponent start + (n + offset - 1)*step.
 
-def _sum_series(order, degree, numerator=None, denominator=None, coeff=1, start=0):
-    """sum_{n >= start} coeff * q^{degree(n)} * prod num_n / prod den_n.
 
-    numerator/denominator are functions n -> list of PochSpec; the sum stops
-    at the first n whose minimal degree degree(n) exceeds the order (degree
-    is strictly increasing in n for every catalog entry).
-    """
-    acc = Series.zero(order)
-    n = start
-    while degree(n) <= order:
-        num = numerator(n) if numerator else ()
-        den = denominator(n) if denominator else ()
-        acc = acc + Series.monomial(degree(n), order, coeff).times(num, den)
+class CatalogSum(NamedTuple):
+    """lead + sum_{n >= first} coeff q^degree(n) prod num / prod den."""
+
+    degree: Callable[[int], int]
+    num: tuple = ()
+    den: tuple = ()
+    first: int = 0
+    coeff: int = 1
+    lead: int = 0
+
+
+def _sum_series(s: CatalogSum, order: int) -> Series:
+    """The sum up to its first term of degree past the order (degree
+    increases): term `first` whole, then one `times` pass per term."""
+    def factors(n, new):
+        return [[PochSpec(g, a + (n + off - 1) * k, k, 1) if new
+                 else PochSpec(g, a, k, n + off) for g, a, k, off in fams]
+                for fams in (s.num, s.den)]
+
+    acc = Series.monomial(0, order, s.lead)
+    n, deg = s.first, s.degree(s.first)
+    term = Series.monomial(deg, order, s.coeff).times(*factors(n, False))
+    while deg <= order:
+        acc = acc + term
         n += 1
+        shift, deg = s.degree(n) - deg, s.degree(n)
+        term = Series(order, ((0,) * shift + term.coeffs)[:order + 1]).times(
+            *factors(n, True))
     return acc
 
 
-def catalog_sides(tag: str, order: int, z_power: int | None = None):
-    """(lhs, rhs) of a named series identity, both truncated at the order.
+# the auxiliary sums, also the sums of 1.4 and 1.5
+_A1 = CatalogSum(lambda n: n * n, den=((1, 4, 4, 0),))
+_A2 = CatalogSum(lambda n: n * n + 2 * n, den=((1, 4, 4, 0),))
+_CATALOG = {
+    "1.2": (None, ((-1, 1, 2),), ((1, 1, 1),),
+            ((1, 4, 4), (1, 1, 4), (1, 1, 4), (1, 3, 4), (1, 3, 4))),
+    "1.3": (None, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 2, 4))),
+    "1.4": (_A1, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 1, 5), (1, 4, 5))),
+    "1.5": (_A2, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 2, 5), (1, 3, 5))),
+    "1.6": (CatalogSum(lambda n: n * (n + 1), num=((-1, 2, 2, 0),),
+                       den=((-1, 3, 2, 0), (1, 2, 2, 0))), ((-1, 3, 2),),
+            ((1, 1, 1),), ((1, 1, 1), (1, 2, 6), (1, 3, 6), (1, 4, 6))),
+    # 1 + 2 sum_{n >= 1}: term 0 would hold (-q^2; q^2)_{-1} = 1/2
+    "1.7": (CatalogSum(lambda n: n * (n + 1), num=((-1, 2, 2, -1),),
+                       den=((1, 2, 2, 0), (-1, 1, 2, 0)), first=1, coeff=2,
+                       lead=1), ((-1, 1, 2),), ((1, 1, 1),),
+            ((1, 6, 6), (1, 1, 6), (1, 1, 6), (1, 2, 6), (1, 2, 6),
+             (1, 4, 6), (1, 4, 6), (1, 5, 6), (1, 5, 6))),
+    "1.8": (CatalogSum(lambda n: n * n, den=((1, 2, 2, 0),)), ((-1, 2, 2),),
+            ((1, 1, 1),), ((1, 1, 1), (1, 1, 6), (1, 3, 6), (1, 5, 6))),
+    "A1": (_A1, (), (), ((-1, 2, 2), (1, 1, 5), (1, 4, 5))),
+    "A2": (_A2, (), (), ((-1, 2, 2), (1, 2, 5), (1, 3, 5))),
+}
 
-    Tags: "1.2".."1.8" (profile generating functions), "A1"/"A2"
-    (auxiliary sums), "gasper" with z specialized to q^z_power.
-    """
-    N = order
-    if tag == "1.2":
-        lhs = product_expr([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)], N)
-        rhs = product_expr(
-            [], [PochSpec(1, 4, 4), PochSpec(1, 1, 4), PochSpec(1, 1, 4),
-                 PochSpec(1, 3, 4), PochSpec(1, 3, 4)], N)
-        return lhs, rhs
-    if tag == "1.3":
-        lhs = product_expr([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)], N)
-        rhs = product_expr([], [PochSpec(1, 1, 1), PochSpec(1, 2, 4)], N)
-        return lhs, rhs
-    if tag == "1.4":
-        s = _sum_series(N, lambda n: n * n,
-                        denominator=lambda n: [PochSpec(1, 4, 4, n)])
-        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
-        rhs = product_expr(
-            [], [PochSpec(1, 1, 1), PochSpec(1, 1, 5), PochSpec(1, 4, 5)], N)
-        return lhs, rhs
-    if tag == "1.5":
-        s = _sum_series(N, lambda n: n * n + 2 * n,
-                        denominator=lambda n: [PochSpec(1, 4, 4, n)])
-        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
-        rhs = product_expr(
-            [], [PochSpec(1, 1, 1), PochSpec(1, 2, 5), PochSpec(1, 3, 5)], N)
-        return lhs, rhs
-    if tag == "1.6":
-        s = _sum_series(N, lambda n: n * (n + 1),
-                        numerator=lambda n: [PochSpec(-1, 2, 2, n)],
-                        denominator=lambda n: [PochSpec(-1, 3, 2, n),
-                                               PochSpec(1, 2, 2, n)])
-        lhs = s.times([PochSpec(-1, 3, 2)], [PochSpec(1, 1, 1)])
-        rhs = product_expr(
-            [], [PochSpec(1, 1, 1), PochSpec(1, 2, 6), PochSpec(1, 3, 6),
-                 PochSpec(1, 4, 6)], N)
-        return lhs, rhs
-    if tag == "1.7":
-        s = Series.one(N) + _sum_series(
-            N, lambda n: n * (n + 1),
-            numerator=lambda n: [PochSpec(-1, 2, 2, n - 1)],
-            denominator=lambda n: [PochSpec(1, 2, 2, n), PochSpec(-1, 1, 2, n)],
-            coeff=2, start=1)
-        lhs = s.times([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)])
-        rhs = product_expr(
-            [], [PochSpec(1, 6, 6),
-                 PochSpec(1, 1, 6), PochSpec(1, 1, 6),
-                 PochSpec(1, 2, 6), PochSpec(1, 2, 6),
-                 PochSpec(1, 4, 6), PochSpec(1, 4, 6),
-                 PochSpec(1, 5, 6), PochSpec(1, 5, 6)], N)
-        return lhs, rhs
-    if tag == "1.8":
-        s = _sum_series(N, lambda n: n * n,
-                        denominator=lambda n: [PochSpec(1, 2, 2, n)])
-        lhs = s.times([PochSpec(-1, 2, 2)], [PochSpec(1, 1, 1)])
-        rhs = product_expr(
-            [], [PochSpec(1, 1, 1), PochSpec(1, 1, 6), PochSpec(1, 3, 6),
-                 PochSpec(1, 5, 6)], N)
-        return lhs, rhs
-    if tag == "A1":
-        lhs = _sum_series(N, lambda n: n * n,
-                          denominator=lambda n: [PochSpec(1, 4, 4, n)])
-        rhs = product_expr(
-            [], [PochSpec(-1, 2, 2), PochSpec(1, 1, 5), PochSpec(1, 4, 5)], N)
-        return lhs, rhs
-    if tag == "A2":
-        lhs = _sum_series(N, lambda n: n * n + 2 * n,
-                          denominator=lambda n: [PochSpec(1, 4, 4, n)])
-        rhs = product_expr(
-            [], [PochSpec(-1, 2, 2), PochSpec(1, 2, 5), PochSpec(1, 3, 5)], N)
-        return lhs, rhs
+
+def catalog_sides(tag: str, order: int, z_power: int | None = None):
+    """(lhs, rhs) of a tag of IDENTITY_TAGS or of "gasper", with z specialized
+    to q^z_power, both truncated at the order."""
     if tag == "gasper":
         j = z_power
         if j is None or j < 1:
             raise UnknownIdentityError("gasper needs z_power >= 1")
-        lhs = _sum_series(N, lambda n: n * (n - 1) // 2 + j * n,
-                          denominator=lambda n: [PochSpec(1, 1, 1, n)])
-        rhs = pochhammer(PochSpec(-1, j, 1), N)
-        return lhs, rhs
-    raise UnknownIdentityError(f"unknown identity tag {tag!r}")
+        s = CatalogSum(lambda n: n * (n - 1) // 2 + j * n, den=((1, 1, 1, 0),))
+        return _sum_series(s, order), pochhammer(PochSpec(-1, j, 1), order)
+    if tag not in _CATALOG:
+        raise UnknownIdentityError(f"unknown identity tag {tag!r}")
+    total, num, den, rhs = _CATALOG[tag]
+    num, den = [PochSpec(*f) for f in num], [PochSpec(*f) for f in den]
+    lhs = (product_expr(num, den, order) if total is None
+           else _sum_series(total, order).times(num, den))
+    return lhs, product_expr([], [PochSpec(*f) for f in rhs], order)
 
 
-IDENTITY_TAGS = ("1.2", "1.3", "1.4", "1.5", "1.6", "1.7", "1.8", "A1", "A2")
+IDENTITY_TAGS = tuple(_CATALOG)
 
 #: profile -> identity tag whose left-hand side is its generating function
 PROFILE_IDENTITIES = {

@@ -196,7 +196,7 @@ def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:
 
 def shape_letters(profile: Profile) -> dict[tuple[int, ...], str]:
     """Stable display letters: a, b, c, ... by lexicographic shape tuple."""
-    shapes = sorted(min_slices(profile))
+    shapes = sorted(shape_floors(profile))
     names = {}
     for k, sh in enumerate(shapes):
         if k < 26:
@@ -217,19 +217,15 @@ class SliceFlow:
 
     def to_dot(self) -> str:
         letters = shape_letters(self.profile)
-
-        def label(s: Slice) -> str:
-            return f"{letters[shape(s)]}q^{s.weight}"
-
-        def key(s: Slice) -> tuple:
-            return (s.weight, shape(s), s.white)
-
-        names = {s: f"n{k}" for k, s in enumerate(sorted(self.nodes, key=key))}
+        shapes = {s: shape(s) for s in self.nodes}
+        # nodes in (weight, shape, white) order, edges by their ends' ranks
+        order = sorted(self.nodes, key=lambda s: (s.weight, shapes[s], s.white))
+        rank = {s: k for k, s in enumerate(order)}
         lines = ["digraph sliceflow {"]
-        for s in sorted(self.nodes, key=key):
-            lines.append(f'  {names[s]} [label="{label(s)}"];')
-        for u, v in sorted(self.edges, key=lambda e: (key(e[0]), key(e[1]))):
-            lines.append(f"  {names[u]} -> {names[v]};")
+        for k, s in enumerate(order):
+            lines.append(f'  n{k} [label="{letters[shapes[s]]}q^{s.weight}"];')
+        for u, v in sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
+            lines.append(f"  n{rank[u]} -> n{rank[v]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

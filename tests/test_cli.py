@@ -5,7 +5,7 @@ import json
 from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylgf import genfun, lemmas
@@ -327,12 +327,14 @@ class TestMalformedInput:
                 code = exc.code
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
         assert "error:" in err.getvalue()
+        self.err = err.getvalue()
         return code
 
     @settings(max_examples=80, deadline=None)
     @given(profile=BAD_PROFILE, order=st.integers(0, 4),
            command=st.sampled_from(["expand-chain", "expand-borodin", "count",
                                     "flow"]))
+    @example(profile="--", order=0, command="expand-chain")
     def test_bad_profile(self, profile, order, command):
         if command == "flow":
             argv = ["flow", f"--profile={profile}", "--max-weight", "2"]
@@ -358,6 +360,30 @@ class TestMalformedInput:
     def test_zero_max_weight(self):
         argv = ["flow", "--profile", "2,1", "--max-weight=0"]
         assert self.exit_code(argv) == 2
+
+    # argparse hands `--opt=--` over as [] without the option's type or
+    # choices; every value-taking option of every command
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in {
+            "expand": ["--profile", "--order", "--method", "--format", "--out"],
+            "count": ["--profile", "--order", "--format", "--out"],
+            "flow": ["--profile", "--max-weight", "--out"],
+            "verify": ["--id", "--order", "--z-power", "--format", "--out"],
+            "decompose": ["--json", "--file", "--out"],
+        }.items() for option in options])
+    def test_double_dash_value(self, command, option):
+        valid = {"expand": ["--profile", "2,1", "--order", "3",
+                            "--method", "borodin"],
+                 "count": ["--profile", "2,1", "--order", "3"],
+                 "flow": ["--profile", "2,1", "--max-weight", "2"],
+                 "verify": ["--id", "gasper", "--z-power", "1", "--order", "3"],
+                 "decompose": ["--json", '{"profile":[1,1],"rows":[[1],[]]}']}
+        argv = valid[command]
+        if option in argv:
+            at = argv.index(option)
+            argv = argv[:at] + argv[at + 2:]
+        assert self.exit_code([command, *argv, f"{option}=--"]) == 2
+        assert f"argument {option}:" in self.err
 
 
 class TestVerbose:

@@ -198,6 +198,15 @@ class TestChainSeries:
         assert list(got.coeffs) == distinct_chain_marginal(profile, 20)
 
 
+def order_cases(key, degrees, top):
+    """(key, order) cases: order top under the id key, then orders 0, 1 and
+    each order at or one below one of the degrees (those of the first sum
+    terms, where a term step off by one shift or one factor shows first)."""
+    orders = {0, 1}.union(*({d - 1, d} for d in degrees)) - {-1, top}
+    return [pytest.param(key, top, id=str(key))] + [
+        pytest.param(key, n, id=f"{key}-{n}") for n in sorted(orders)]
+
+
 class TestCatalog:
     def test_profile_1_1_equals_enumeration(self):
         lhs, rhs = catalog_sides("1.2", 4)
@@ -205,18 +214,25 @@ class TestCatalog:
         assert lhs == rhs == marg
         assert lhs.coeffs == (1, 2, 3, 6, 10)
 
-    @pytest.mark.parametrize("tag", genfun.IDENTITY_TAGS)
-    def test_identity_holds(self, tag):
-        lhs, rhs = catalog_sides(tag, 40)
-        assert first_mismatch(lhs, rhs) is None, tag
+    @pytest.mark.parametrize("tag, order", [
+        case for tag, degrees in {
+            "1.2": (), "1.3": (), "1.4": (0, 1, 4), "1.5": (0, 3, 8),
+            "1.6": (0, 2, 6), "1.7": (2, 6, 12), "1.8": (0, 1, 4),
+            "A1": (0, 1, 4), "A2": (0, 3, 8),
+        }.items() for case in order_cases(tag, degrees, 40)])
+    def test_identity_holds(self, tag, order):
+        lhs, rhs = catalog_sides(tag, order)
+        assert first_mismatch(lhs, rhs) is None, (tag, order)
 
-    @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_gasper(self, j):
-        lhs, rhs = catalog_sides("gasper", 30, z_power=j)
+    @pytest.mark.parametrize("j, order", [
+        case for j in (1, 2, 3)
+        for case in order_cases(j, (0, j, 2 * j + 1), 30)])
+    def test_gasper(self, j, order):
+        lhs, rhs = catalog_sides("gasper", order, z_power=j)
         assert lhs == rhs
         if j == 1:
             # distinct parts generating function
-            assert rhs == pochhammer(PochSpec(-1, 1, 1), 30)
+            assert rhs == pochhammer(PochSpec(-1, 1, 1), order)
 
     def test_rhs_of_14_is_borodin_product(self):
         lhs, rhs = catalog_sides("1.4", 20)
