@@ -202,8 +202,9 @@ def _sum_series(s: CatalogSum, order: int) -> Series:
         acc = acc + term
         n += 1
         shift, deg = s.degree(n) - deg, s.degree(n)
-        term = Series(order, ((0,) * shift + term.coeffs)[:order + 1]).times(
-            *factors(n, True))
+        if deg <= order:
+            coeffs = (0,) * shift + term.coeffs[:order + 1 - shift]
+            term = Series(order, coeffs).times(*factors(n, True))
     return acc
 
 

@@ -24,6 +24,7 @@ fixed-k family-A identity at k = 0 carries a factor 1/(1+q^0) = 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 
 from .series import PochSpec, Series, first_mismatch
@@ -62,13 +63,19 @@ class NestedSumSpec:
 def _ratio(num_exps, plus_exps, minus_exps, order: int) -> Series:
     """q^(sum num_exps) / (prod (1+q^d) * prod (1-q^d)) at the order.
 
-    A (1+q^0) factor becomes the scalar 1/2.
+    Each (1+q^0) = 2 stays out of the int kernel `Series.times` and halves
+    the result instead, so this is where the lemmas' rationals come from.
     """
     if 0 in minus_exps:
         raise LemmaSpecError("denominator factor (1 - q^0) vanishes")
-    den = [PochSpec(-1, d, 1, 1) for d in plus_exps]
+    den = [PochSpec(-1, d, 1, 1) for d in plus_exps if d != 0]
     den += [PochSpec(1, d, 1, 1) for d in minus_exps]
-    return Series.monomial(sum(num_exps), order).times((), den)
+    ratio = Series.monomial(sum(num_exps), order).times((), den)
+    halves = plus_exps.count(0)
+    if halves:
+        ratio = Series.from_coeffs(Fraction(c, 2 ** halves)
+                                   for c in ratio.coeffs)
+    return ratio
 
 
 def _block_exps(e: int, base: int, m: int) -> tuple[list[int], list[int]]:

@@ -5,16 +5,18 @@ no floating point anywhere in this package.  A series of order N stores the
 coefficients of q^0 .. q^N and every binary operation demands equal orders,
 so precision is never lost silently.
 
-A product of q-Pochhammer factors that starts from 1 (pochhammer,
-product_expr) is expanded by the log-derivative recurrence: a_k is the net
-multiplicity of 1/(1 - q^k) over all factors, b_m = sum_{d | m} d*a_d, and
-n*p_n = sum_{k=1..n} b_k*p_{n-k}, where the division by n is exact because
-the product has integer coefficients.  That is N(N+1)/2 multiply-adds at
-order N, whatever the number of factors.  Series.times multiplies an
-arbitrary series by a few factors, with one in-place pass per factor.  The
-general ring operations `*` and `invert` are on no product path of the
-package: they stay as the slow reference the tests compare both kernels
-against, and the benchmark's tracer wraps them by name.
+Every Pochhammer factor is (1 - s*q^e) with e >= 1, so both product kernels
+stay on int; a constant factor such as (1 + q^0) = 2 is the caller's.  A
+product that starts from 1 (pochhammer, product_expr) is expanded by the
+log-derivative recurrence: a_k is the net multiplicity of 1/(1 - q^k) over
+all factors, b_m = sum_{d | m} d*a_d, and n*p_n = sum_{k=1..n} b_k*p_{n-k},
+where the division by n is exact because the product has integer
+coefficients.  That is N(N+1)/2 multiply-adds at order N, whatever the
+number of factors.  Series.times multiplies an arbitrary series by a few
+factors, with one in-place pass per factor.  The general ring operations
+`*` and `invert` are on no product path of the package: they stay as the
+slow reference the tests compare both kernels against, and the
+benchmark's tracer wraps them by name.
 """
 from __future__ import annotations
 
@@ -141,19 +143,16 @@ class Series:
     def times(self, numerator=(), denominator=()) -> Series:
         """self * prod(numerator) / prod(denominator) for PochSpec factor lists.
 
-        Each factor (1 - s*q^e) with e >= 1 is applied in place on the
+        Each factor (1 - s*q^e), e >= 1, is applied in place on the
         coefficient list: a numerator factor by the downward recurrence
         out[n] -= s*out[n-e], a denominator factor by the upward recurrence
-        out[n] += s*out[n-e].  Factors (1 - s*q^0) are collected into one
-        rational scalar applied at the end, so the recurrences stay on int.
+        out[n] += s*out[n-e]; int coefficients stay int.
         """
-        scalar = _q0_scalar(numerator, denominator)
         order = self.order
         out = list(self.coeffs)
-        # no factor lowers the degree, so coefficients below lo stay zero
-        lo = next((n for n, c in enumerate(out) if c != 0), None)
-        if lo is None or scalar == 0:
-            return Series.zero(order)
+        # no factor lowers the degree, so coefficients below lo stay zero;
+        # on the zero series lo = order + 1 leaves every pass empty
+        lo = next((n for n, c in enumerate(out) if c != 0), order + 1)
         # one loop per sign: adding or subtracting is cheaper than
         # multiplying big coefficients by s
         for spec in numerator:
@@ -172,8 +171,6 @@ class Series:
                 else:
                     for n in range(lo + e, order + 1):
                         out[n] -= out[n - e]
-        if scalar != 1:
-            out = [scalar * c for c in out]
         return Series.from_coeffs(out)
 
     def __str__(self) -> str:
@@ -182,21 +179,6 @@ class Series:
     def to_json_dict(self) -> dict:
         # str(Fraction(1, 2)) == "1/2"; integers stay bare decimal strings
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-
-def _q0_scalar(numerator, denominator) -> Fraction:
-    """Product of the factors (1 - s*q^0): 1 - s for each numerator one and
-    1/2 for each denominator (1 + q^0); a denominator (1 - q^0) is no unit."""
-    scalar = Fraction(1)
-    for spec in numerator:
-        if spec.start == 0 and spec.count != 0:
-            scalar *= 1 - spec.sign
-    for spec in denominator:
-        if spec.start == 0 and spec.count != 0:
-            if spec.sign == 1:
-                raise NotAUnitError(f"denominator {spec} is not a unit")
-            scalar /= 2
-    return scalar
 
 
 class Mismatch(NamedTuple):
@@ -232,24 +214,19 @@ class PochSpec:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise PochSpecError(f"sign must be +1 or -1, got {self.sign}")
-        if self.start < 0:
-            raise PochSpecError(f"start must be >= 0, got {self.start}")
+        if self.start < 1:
+            raise PochSpecError(f"start must be >= 1, got {self.start}")
         if self.step < 1:
             raise PochSpecError(f"step must be >= 1, got {self.step}")
         if self.count is not UNBOUNDED and self.count < 0:
             raise PochSpecError(f"count must be >= 0, got {self.count}")
-        if self.count is UNBOUNDED and self.start == 0 and self.sign == 1:
-            raise PochSpecError(
-                "unbounded product with a leading (1 - q^0) factor vanishes"
-            )
 
     def exponents(self, order: int) -> range:
-        """Exponents e of the factors with 1 <= e <= order; a q^0 factor is
-        left to the caller, since it is a scalar rather than a recurrence."""
+        """Exponents e of the factors with e <= order, all of them >= 1."""
         stop = order + 1
         if self.count is not UNBOUNDED:
             stop = min(stop, self.start + self.count * self.step)
-        return range(self.start or self.step, stop, self.step)
+        return range(self.start, stop, self.step)
 
 
 def pochhammer(spec: PochSpec, order: int) -> Series:
@@ -266,20 +243,17 @@ def product_expr(
     with (1 + q^e) = (1 - q^2e) / (1 - q^e), so the product is
     P = prod_k (1 - q^k)^(-a_k).  The net multiplicity a_k gets +1 for a
     denominator (1 - q^k) and -1 for a numerator one; a (1 + q^e) moves a_e
-    and a_2e by -1 and +1 in a denominator, by +1 and -1 in a numerator.  Then q*P'/P = sum_m b_m q^m with b_m = sum_{d | m} d*a_d,
-    and comparing coefficients of q^n in q*P' = P * (q*P'/P) gives p_0 = 1
-    and n*p_n = sum_{k=1..n} b_k*p_{n-k}.  The division by n is exact, as P
-    has integer coefficients.
+    and a_2e by -1 and +1 in a denominator, by +1 and -1 in a numerator.
+    Then q*P'/P = sum_m b_m q^m with b_m = sum_{d | m} d*a_d, and comparing
+    coefficients of q^n in q*P' = P * (q*P'/P) gives p_0 = 1 and
+    n*p_n = sum_{k=1..n} b_k*p_{n-k}.  The division by n is exact, as P has
+    integer coefficients.
 
     The cost is N(N+1)/2 multiply-adds of a small b_k into a big p_j at
     order N, whatever the number of factors, each inner sum one C-level
-    `sum(map(mul, ...))`.  To multiply a series by a few finite factors,
-    `Series.times` is cheaper.  Factors (1 - s*q^0) are a scalar applied at
-    the end, as in `times`.
+    `sum(map(mul, ...))`, all on int.  To multiply a series by a few finite
+    factors, `Series.times` is cheaper.
     """
-    scalar = _q0_scalar(numerator, denominator)
-    if scalar == 0:
-        return Series.zero(order)
     a = [0] * (order + 1)
     for side, specs in ((-1, numerator), (1, denominator)):
         for spec in specs:
@@ -300,6 +274,4 @@ def product_expr(
     p = [1]
     for n in range(1, order + 1):
         p.append(sum(map(mul, b, reversed(p))) // n)
-    if scalar != 1:
-        p = [scalar * c for c in p]
     return Series.from_coeffs(p)

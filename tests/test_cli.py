@@ -137,6 +137,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--id", "gasper",
                            "--z-power", "1", "--order", "40")
         assert code == 0 and "PASS" in out
+        # term n has degree n(n-1)/2 + z*n: with z at or past the order at
+        # most term 1 is in range, and no term past it may be built
+        for z in (40, 41, 2 ** 40, 10 ** 30):
+            code, out, _ = run(capsys, "verify", "--id", "gasper",
+                               "--z-power", str(z), "--order", "40")
+            assert code == 0 and "PASS" in out, z
 
     def test_lemma_tag(self, capsys):
         code, out, _ = run(capsys, "verify", "--id", "L4.2(2)", "--order", "30")

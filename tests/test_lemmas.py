@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, closed_form, grid,
-                          nested_sum, report_line, verify_lemma)
+from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, _ratio, closed_form,
+                          grid, nested_sum, report_line, verify_lemma)
 from cylgf.series import PochSpec, Series
 
 
@@ -81,6 +81,12 @@ class TestFixedK:
                     * Series.monomial(1, n, Fraction(1, 2)))
         assert lhs == expected
         assert verify_lemma(spec, n) is None
+        # _ratio halves for a (1+q^0) itself; the series kernels take e >= 1
+        # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2
+        half = Fraction(1, 2)
+        assert _ratio([], [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
+        with pytest.raises(LemmaSpecError, match="vanishes"):
+            _ratio([1], [2], [0], 4)
 
     def test_family_a_single_term(self):
         # q^{2k+1} / ((1+q^{2k})(1+q^{2k+2})) at k=2

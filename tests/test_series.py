@@ -161,14 +161,6 @@ class TestPochhammer:
         fin = pochhammer(PochSpec(1, 2, 3, count=7), 20)
         assert inf == fin
 
-    def test_start_zero_plus_sign(self):
-        # (1 - q^0) = 0 annihilates everything for a bounded product
-        s = pochhammer(PochSpec(1, 0, 2, count=2), 4)
-        assert s == Series.zero(4)
-        # (1 + q^0) = 2 doubles
-        s = pochhammer(PochSpec(-1, 0, 9, count=1), 4)
-        assert s.coeffs == (2, 0, 0, 0, 0)
-
     def test_rejected_specs(self):
         with pytest.raises(PochSpecError):
             PochSpec(2, 1, 1)
@@ -180,6 +172,11 @@ class TestPochhammer:
             PochSpec(1, 1, 1, count=-2)
         with pytest.raises(PochSpecError):
             PochSpec(1, 0, 2, count=UNBOUNDED)
+        # a q^0 factor is a constant, not a factor of the kernels
+        with pytest.raises(PochSpecError):
+            PochSpec(1, 0, 2, count=1)
+        with pytest.raises(PochSpecError):
+            PochSpec(-1, 0, 9, count=1)
 
 
 class TestProductExpr:
@@ -194,15 +191,9 @@ class TestProductExpr:
         s = product_expr([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)], 4)
         assert s.coeffs == (1, 2, 3, 6, 10)
 
-    def test_non_unit_denominator(self):
-        with pytest.raises(NotAUnitError, match="is not a unit"):
-            product_expr([], [PochSpec(1, 0, 2, count=1)], 4)
-        with pytest.raises(NotAUnitError, match="is not a unit"):
-            product_expr([PochSpec(-1, 1, 1)], [PochSpec(1, 0, 3, count=2)], 5)
-
 
 def factor_series(sign, e, order):
-    """The two-term series 1 - sign*q^e (a constant when e == 0)."""
+    """The two-term series 1 - sign*q^e."""
     coeffs = [1] + [0] * order
     if e <= order:
         coeffs[e] -= sign
@@ -231,20 +222,17 @@ def slow_product(numerator, denominator, order):
 
 
 def rand_spec(rng, order, max_start=4, max_step=3):
-    """sign +-1, start 0-max_start, step 1-max_step; bounded counts may reach
+    """sign +-1, start 1-max_start, step 1-max_step; bounded counts may reach
     past the order."""
-    while True:
-        sign = rng.choice([1, -1])
-        start, step = rng.randint(0, max_start), rng.randint(1, max_step)
-        count = rng.choice([UNBOUNDED, rng.randint(0, order // step + 3)])
-        if not (count is UNBOUNDED and start == 0 and sign == 1):
-            return PochSpec(sign, start, step, count)
+    sign = rng.choice([1, -1])
+    start, step = rng.randint(1, max_start), rng.randint(1, max_step)
+    count = rng.choice([UNBOUNDED, rng.randint(0, order // step + 3)])
+    return PochSpec(sign, start, step, count)
 
 
 class TestTimes:
     def test_matches_mul_and_invert_randomized(self):
         rng = random.Random(4417)
-        seen = {"halves": 0, "not_a_unit": 0}
         for _ in range(400):
             order = rng.randint(0, 12)
             num = [rand_spec(rng, order) for _ in range(rng.randint(0, 3))]
@@ -252,27 +240,11 @@ class TestTimes:
             base = rand_series(rng, order)
             base = base * Series.monomial(rng.randint(0, 3), order,
                                           rng.choice([1, 2, Fraction(1, 3)]))
-            try:
-                expected = slow_product(num, den, order)
-            except NotAUnitError:
-                seen["not_a_unit"] += 1
-                with pytest.raises(NotAUnitError):
-                    product_expr(num, den, order)
-                with pytest.raises(NotAUnitError):
-                    base.times(num, den)
-                continue
+            expected = slow_product(num, den, order)
             got = product_expr(num, den, order)
             assert got == expected
+            assert all(type(c) is int for c in got.coeffs)
             assert base.times(num, den) == base * expected
-            if any(isinstance(c, Fraction) for c in got.coeffs):
-                seen["halves"] += 1
-        assert seen["halves"] > 0 and seen["not_a_unit"] > 0
-
-    def test_one_plus_q0_denominator_gives_halves(self):
-        # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2
-        s = product_expr([], [PochSpec(-1, 0, 2, count=2)], 4)
-        half = Fraction(1, 2)
-        assert s.coeffs == (half, 0, -half, 0, half)
 
     def test_pochhammer_is_times_on_one(self):
         spec = PochSpec(-1, 2, 3)
@@ -314,27 +286,19 @@ class TestRecurrence:
 
     def test_matches_times_randomized(self):
         rng = random.Random(8080)
-        seen = {"halves": 0, "zero": 0, "not_a_unit": 0, "one_plus_num": 0}
+        one_plus_num = 0
         for _ in range(300):
             order = rng.randint(0, 80)
             num = [rand_spec(rng, order, 12, 12)
                    for _ in range(rng.randint(0, 4))]
             den = [rand_spec(rng, order, 12, 12)
                    for _ in range(rng.randint(0, 4))]
-            try:
-                expected = Series.one(order).times(num, den)
-            except NotAUnitError:
-                seen["not_a_unit"] += 1
-                with pytest.raises(NotAUnitError, match="is not a unit"):
-                    product_expr(num, den, order)
-                continue
+            expected = Series.one(order).times(num, den)
             got = product_expr(num, den, order)
             assert got == expected, (num, den, order)
-            seen["halves"] += any(isinstance(c, Fraction) for c in got.coeffs)
-            seen["zero"] += got == Series.zero(order)
-            seen["one_plus_num"] += any(spec.sign == -1 and spec.start > 0
-                                        for spec in num)
-        assert all(seen.values()), seen
+            assert all(type(c) is int for c in got.coeffs)
+            one_plus_num += any(spec.sign == -1 for spec in num)
+        assert one_plus_num
 
 
 class TestMisc:

@@ -42,12 +42,15 @@ class TestSliceBasics:
 
     def test_validity_matches_definition(self):
         # the adjacent-rows criterion must agree with running the 0/1
-        # partition with rows 1^{t_i} through the definition-level validator
+        # partition with rows 1^{t_i} through the definition-level validator.
+        # Both are invariant under adding 1 to every t_i, and counts up to
+        # level + 1 reach both sides of every boundary t_{i+1} = t_i + c_{i+1}
         for profile in all_profiles(7):
             r = profile.rank
             stack = [()]
             for _ in range(r):
-                stack = [t + (v,) for t in stack for v in range(7)]
+                stack = [t + (v,) for t in stack
+                         for v in range(profile.level + 2)]
             for t in stack:
                 try:
                     validate(profile, [(1,) * v for v in t])
