@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cylgf import genfun
 from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
+from cylgf.lemmas import _ratio
 from cylgf.series import (Mismatch, NotAUnitError, OrderMismatchError,
                           PochSpec, PochSpecError, Series, UNBOUNDED,
                           first_mismatch, pochhammer, product_expr)
@@ -178,6 +179,18 @@ class TestPochhammer:
         with pytest.raises(PochSpecError):
             PochSpec(-1, 0, 9, count=1)
 
+    def test_start_zero_plus_sign(self):
+        # (1 - q^0) = 0 and (1 + q^0) = 2 are constants: neither sign may
+        # start at q^0, whatever the count
+        for sign in (1, -1):
+            for count in (0, 1, 2, UNBOUNDED):
+                with pytest.raises(PochSpecError, match="start must be >= 1"):
+                    PochSpec(sign, 0, 2, count=count)
+        # from q^1 on, a (1 + q^e) product has int coefficients
+        s = pochhammer(PochSpec(-1, 1, 9, count=1), 4)
+        assert s.coeffs == (1, 1, 0, 0, 0)
+        assert all(type(c) is int for c in s.coeffs)
+
 
 class TestProductExpr:
     def test_empty_is_one(self):
@@ -190,6 +203,20 @@ class TestProductExpr:
     def test_profile_one_one_product(self):
         s = product_expr([PochSpec(-1, 1, 2)], [PochSpec(1, 1, 1)], 4)
         assert s.coeffs == (1, 2, 3, 6, 10)
+
+    def test_non_unit_denominator(self):
+        # a (1 - q^0) denominator cannot be built; every factor the kernel
+        # takes has constant term 1, so every denominator is a unit
+        with pytest.raises(PochSpecError):
+            product_expr([], [PochSpec(1, 0, 2, count=1)], 4)
+        with pytest.raises(PochSpecError):
+            product_expr([PochSpec(-1, 1, 1)], [PochSpec(1, 0, 3, count=2)], 5)
+        s = product_expr([PochSpec(-1, 1, 1)], [PochSpec(1, 1, 3, count=2)], 5)
+        assert s == slow_product([PochSpec(-1, 1, 1)],
+                                 [PochSpec(1, 1, 3, count=2)], 5)
+        # a series with no constant term is still not a unit
+        with pytest.raises(NotAUnitError, match="constant coefficient is zero"):
+            Series.zero(4).invert()
 
 
 def factor_series(sign, e, order):
@@ -245,6 +272,15 @@ class TestTimes:
             assert got == expected
             assert all(type(c) is int for c in got.coeffs)
             assert base.times(num, den) == base * expected
+
+    def test_one_plus_q0_denominator_gives_halves(self):
+        # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2: the kernel
+        # takes the (1 + q^2) on int, lemmas._ratio halves for the (1 + q^0)
+        s = product_expr([], [PochSpec(-1, 2, 2, count=1)], 4)
+        assert s.coeffs == (1, 0, -1, 0, 1)
+        assert all(type(c) is int for c in s.coeffs)
+        half = Fraction(1, 2)
+        assert _ratio([], [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
 
     def test_pochhammer_is_times_on_one(self):
         spec = PochSpec(-1, 2, 3)
