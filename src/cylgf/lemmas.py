@@ -54,23 +54,32 @@ class NestedSumSpec:
                 raise LemmaSpecError("fixed_k requires a single block")
             if self.fixed_k < 0:
                 raise LemmaSpecError(f"fixed_k must be >= 0, got {self.fixed_k}")
+            low = 2 * self.fixed_k + self.offset
+            if low < 0:
+                raise LemmaSpecError(
+                    f"fixed_k = {self.fixed_k} gives family {self.family} "
+                    f"the factor (1 + q^{low})")
 
     @property
     def offset(self) -> int:
         return _OFFSETS[self.family]
 
 
-def _ratio(num_exps, plus_exps, minus_exps, order: int) -> Series:
-    """q^(sum num_exps) / (prod (1+q^d) * prod (1-q^d)) at the order.
+def _ratio(degree: int, plus_exps, minus_exps, order: int) -> Series:
+    """q^degree / (prod (1+q^d) * prod (1-q^d)) at the order.
 
     Each (1+q^0) = 2 stays out of the int kernel `Series.times` and halves
     the result instead, so this is where the lemmas' rationals come from.
+    The exponents may be ranges: past the order the result is zero and they
+    are not read, so a block of 10^8 factors costs nothing.
     """
     if 0 in minus_exps:
         raise LemmaSpecError("denominator factor (1 - q^0) vanishes")
+    if degree > order:
+        return Series.zero(order)
     den = [PochSpec(-1, d, 1, 1) for d in plus_exps if d != 0]
     den += [PochSpec(1, d, 1, 1) for d in minus_exps]
-    ratio = Series.monomial(sum(num_exps), order).times((), den)
+    ratio = Series.monomial(degree, order).times((), den)
     halves = plus_exps.count(0)
     if halves:
         ratio = Series.from_coeffs(Fraction(c, 2 ** halves)
@@ -78,11 +87,9 @@ def _ratio(num_exps, plus_exps, minus_exps, order: int) -> Series:
     return ratio
 
 
-def _block_exps(e: int, base: int, m: int) -> tuple[list[int], list[int]]:
-    """(numerator, denominator) exponents of one block over base = 2K+2M_prev."""
-    nums = [base + 2 * j - 1 + e for j in range(1, m + 1)]
-    dens = [base + 2 * j + e for j in range(0, m + 1)]
-    return nums, dens
+def _sum_by_twos(first: int, count: int) -> int:
+    """first + (first + 2) + ... + (first + 2*(count - 1))."""
+    return count * (first + count - 1)
 
 
 def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
@@ -103,9 +110,11 @@ def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
     blocks = spec.blocks
 
     if spec.fixed_k is not None:
-        base = 2 * spec.fixed_k
-        nums, dens = _block_exps(e, base, blocks[0])
-        return _ratio(nums, dens, (), order)
+        # the block at base 2k: numerators q^(2k+2j-1+e), j = 1..m, and
+        # denominators (1 + q^(2k+2j+e)), j = 0..m
+        base, m = 2 * spec.fixed_k + e, blocks[0]
+        return _ratio(_sum_by_twos(base + 1, m),
+                      range(base, base + 2 * m + 1, 2), (), order)
 
     bases = [2 * sum(blocks[:i]) + e for i in range(len(blocks))]
 
@@ -148,22 +157,20 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
     """The telescoped right-hand side matching nested_sum."""
     e = spec.offset
     if spec.fixed_k is not None:
-        k, m = spec.fixed_k, spec.blocks[0]
-        shared = [2 * k + 2 * j - 1 + e for j in range(2, m + 1)]
-        d_low = [2 * k + 2 * j + e for j in range(0, m)]
-        d_high = [2 * k + 2 * j + e for j in range(1, m + 1)]
-        nums = [1] + shared
-        return (_ratio(nums, d_high, [2 * m], order)
-                - _ratio(nums, d_low, [2 * m], order))
+        # numerators q^1 and q^(2k+2j-1+e), j = 2..m; denominators
+        # (1 + q^(2k+2j+e)) over j = 1..m (high) or j = 0..m-1 (low)
+        base, m = 2 * spec.fixed_k + e, spec.blocks[0]
+        degree = 1 + _sum_by_twos(base + 3, m - 1)
+        d_low = range(base, base + 2 * m, 2)
+        d_high = range(base + 2, base + 2 * m + 1, 2)
+        return (_ratio(degree, d_high, [2 * m], order)
+                - _ratio(degree, d_low, [2 * m], order))
+    # numerators q^(2j-1+e), j = 1..M, and q^(2 T_i); denominators
+    # (1 + q^(2j+e)), j = 1..M, and (1 - q^(2 T_i))
     total = sum(spec.blocks)
-    nums = [2 * j - 1 + e for j in range(1, total + 1)]
-    plus = [2 * j + e for j in range(1, total + 1)]
-    minus = []
-    for i in range(len(spec.blocks)):
-        suffix = sum(spec.blocks[i:])
-        nums.append(2 * suffix)
-        minus.append(2 * suffix)
-    return _ratio(nums, plus, minus, order)
+    minus = [2 * sum(spec.blocks[i:]) for i in range(len(spec.blocks))]
+    return _ratio(_sum_by_twos(1 + e, total) + sum(minus),
+                  range(2 + e, 2 * total + e + 1, 2), minus, order)
 
 
 def verify_lemma(spec: NestedSumSpec, order: int):

@@ -11,24 +11,33 @@ product that starts from 1 (pochhammer, product_expr) is expanded by the
 log-derivative recurrence: a_k is the net multiplicity of 1/(1 - q^k) over
 all factors, b_m = sum_{d | m} d*a_d, and n*p_n = sum_{k=1..n} b_k*p_{n-k},
 where the division by n is exact because the product has integer
-coefficients.  That is N(N+1)/2 multiply-adds at order N, whatever the
-number of factors.  Series.times multiplies an arbitrary series by a few
-factors, with one in-place pass per factor.  The general ring operations
-`*` and `invert` are on no product path of the package: they stay as the
-slow reference the tests compare both kernels against, and the
-benchmark's tracer wraps them by name.
+coefficients.  Since p_n needs p_0 .. p_{n-1}, the sum is an online
+convolution, solved divide and conquer: a block of L <= _CUT coefficients
+runs the plain recurrence, L(L+1)/2 multiply-adds, and what each solved
+half adds to the half after it is one big-int product of two
+Kronecker-packed blocks.  Below the cut, packing costs more than the
+product saves, so an order below it runs the plain recurrence alone.
+Series.times multiplies an arbitrary series by a few factors, with one
+in-place pass per factor.  The general ring operations `*` and `invert`
+are on no product path of the package: they stay as the slow reference
+the tests compare both kernels against, and the benchmark's tracer wraps
+them by name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 Coeff = int | Fraction
 
 #: Sentinel for an infinite Pochhammer product (a; q^t)_oo.
 UNBOUNDED = None
+
+#: product_expr solves a range of at most this many coefficients by the
+#: plain recurrence; below it, packing costs more than the product saves.
+_CUT = 64
 
 
 class OrderMismatchError(ValueError):
@@ -249,10 +258,20 @@ def product_expr(
     n*p_n = sum_{k=1..n} b_k*p_{n-k}.  The division by n is exact, as P has
     integer coefficients.
 
-    The cost is N(N+1)/2 multiply-adds of a small b_k into a big p_j at
-    order N, whatever the number of factors, each inner sum one C-level
-    `sum(map(mul, ...))`, all on int.  To multiply a series by a few finite
-    factors, `Series.times` is cheaper.
+    p_n needs every p_j with j < n, so the sum is an online convolution.
+    To solve [lo, hi): solve [lo, mid), add what p_lo .. p_{mid-1} give to
+    n*p_n for mid <= n < hi, then solve [mid, hi).  The middle step is one
+    big-int product: the block of p and b_1 .. b_{hi-lo-1} are each packed
+    into one int, a slot of 8*nbytes bits per coefficient (Kronecker
+    substitution), and the slots of the product that fall in [mid, hi) are
+    the sums wanted.  A range of at most _CUT coefficients is a leaf: it
+    runs the plain recurrence, each p_n one C-level `sum(map(mul, ...))`
+    over the p_j of its own range, so the leaves together make at most about
+    N*_CUT/2 multiply-adds instead of N(N+1)/2.  Below the cut, packing
+    costs more than the product saves; an order below it is one leaf, the
+    plain recurrence alone.  All arithmetic is on int, whatever the number
+    of factors.  To multiply a series by a few finite factors,
+    `Series.times` is cheaper.
     """
     a = [0] * (order + 1)
     for side, specs in ((-1, numerator), (1, denominator)):
@@ -272,6 +291,66 @@ def product_expr(
                 b[m] += w
     del b[0]  # b[k - 1] = b_k, which reversed(p) pairs with p_{n-k}
     p = [1]
-    for n in range(1, order + 1):
-        p.append(sum(map(mul, b, reversed(p))) // n)
+    acc = [0] * (order + 1)  # acc[n] = the part of n*p_n added by products
+
+    def solve(lo: int, hi: int):
+        """Append p_n for n in [lo, hi), given len(p) >= lo and acc[lo:hi]
+        holding the terms b_{n-j}*p_j of every j < lo."""
+        if hi - lo <= _CUT:
+            if lo == 0:  # the plain recurrence: acc is still zero
+                for n in range(1, hi):
+                    p.append(sum(map(mul, b, reversed(p))) // n)
+            else:
+                run = []  # p_lo .. p_{n-1}, paired in reverse with b_1 ..
+                for n in range(lo, hi):
+                    run.append((acc[n] + sum(map(mul, b, reversed(run)))) // n)
+                p.extend(run)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        # acc[n] += sum_{lo <= j < mid} b_{n-j}*p_j for mid <= n < hi: slot
+        # n - lo - 1 of (sum_i p_{lo+i} X^i) * (sum_k b_{k+1} X^k)
+        block, factor = p[lo:mid], b[:hi - lo - 1]
+        nbytes = _slot_bytes(max(map(abs, block)).bit_length(),
+                             max(map(abs, factor)).bit_length(), mid - lo)
+        packed = _pack(block, nbytes) * _pack(factor, nbytes)
+        acc[mid:hi] = map(add, acc[mid:hi],
+                          _unpack(packed, mid - lo - 1, hi - lo - 1, nbytes))
+        solve(mid, hi)
+
+    solve(0, order + 1)
     return Series.from_coeffs(p)
+
+
+def _slot_bytes(p_bits: int, b_bits: int, terms: int) -> int:
+    """Slot width in bytes for a product of a block of |p| < 2^p_bits with
+    |b| < 2^b_bits, at most `terms` products per slot: every slot of the
+    product lies below half a slot in absolute value."""
+    return (p_bits + b_bits + terms.bit_length() + 2 + 7) // 8
+
+
+def _bias(count: int, nbytes: int) -> int:
+    """Half a slot in each of the lowest `count` slots of `nbytes` bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(values: list[int], nbytes: int) -> int:
+    """sum_i values[i] * X^i with X = 2^(8*nbytes), |values[i]| < X/2."""
+    half = 1 << (8 * nbytes - 1)
+    data = b"".join([(v + half).to_bytes(nbytes, "little") for v in values])
+    return int.from_bytes(data, "little") - _bias(len(values), nbytes)
+
+
+def _unpack(packed: int, lo: int, hi: int, nbytes: int) -> list[int]:
+    """Slots lo..hi-1 of sum_i c_i X^i, X = 2^(8*nbytes), |c_i| < X/2.
+
+    Adding X/2 to each slot below hi makes every one of them a base-X
+    digit, so the mask reads them off whatever the slots above hold.
+    """
+    bits = 8 * nbytes
+    half = 1 << (bits - 1)
+    digits = (((packed + _bias(hi, nbytes)) >> (lo * bits))
+              & ((1 << ((hi - lo) * bits)) - 1))
+    data = digits.to_bytes((hi - lo) * nbytes, "little")
+    return [int.from_bytes(data[i:i + nbytes], "little") - half
+            for i in range(0, len(data), nbytes)]

@@ -148,6 +148,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--id", "L4.2(2)", "--order", "30")
         assert code == 0 and "PASS" in out
 
+    def test_huge_lemma_block(self, capsys):
+        # a block of M = 10^8 puts every term at degree about M^2 or more,
+        # past the order: the answer is the zero series, and no list of M
+        # exponents may be built for it
+        for tag in ("L4.2(99999999)", "L4.1(0,99999999)", "L5.5(99999999)",
+                    "L5.1(99999999999,99999999)", "L4.4(1,99999999,1)"):
+            code, out, _ = run(capsys, "verify", "--id", tag, "--order", "5")
+            assert (code, out) == (0, f"{tag},order=5,PASS\n"), tag
+
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "7.7", "--order", "10")
         assert code == 2 and "error" in err

@@ -64,6 +64,10 @@ class TestSpec:
             NestedSumSpec("A", (1, 1), fixed_k=1)
         with pytest.raises(LemmaSpecError):
             NestedSumSpec("A", (1,), fixed_k=-1)
+        # family C at k = 0 would have the factor (1 + q^(2k - 1)) = (1 + q^-1)
+        with pytest.raises(LemmaSpecError, match="fixed_k = 0"):
+            NestedSumSpec("C", (1,), fixed_k=0)
+        assert verify_lemma(NestedSumSpec("C", (1,), fixed_k=1), 20) is None
 
     def test_offsets(self):
         assert NestedSumSpec("A", (1,)).offset == 0
@@ -84,9 +88,9 @@ class TestFixedK:
         # _ratio halves for a (1+q^0) itself; the series kernels take e >= 1
         # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2
         half = Fraction(1, 2)
-        assert _ratio([], [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
+        assert _ratio(0, [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
         with pytest.raises(LemmaSpecError, match="vanishes"):
-            _ratio([1], [2], [0], 4)
+            _ratio(1, [2], [0], 4)
 
     def test_family_a_single_term(self):
         # q^{2k+1} / ((1+q^{2k})(1+q^{2k+2})) at k=2

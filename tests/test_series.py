@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgf import genfun
+from cylgf import genfun, series
+from cylgf.cylindric import Profile
 from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
 from cylgf.lemmas import _ratio
 from cylgf.series import (Mismatch, NotAUnitError, OrderMismatchError,
@@ -280,7 +281,7 @@ class TestTimes:
         assert s.coeffs == (1, 0, -1, 0, 1)
         assert all(type(c) is int for c in s.coeffs)
         half = Fraction(1, 2)
-        assert _ratio([], [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
+        assert _ratio(0, [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
 
     def test_pochhammer_is_times_on_one(self):
         spec = PochSpec(-1, 2, 3)
@@ -335,6 +336,79 @@ class TestRecurrence:
             assert all(type(c) is int for c in got.coeffs)
             one_plus_num += any(spec.sign == -1 for spec in num)
         assert one_plus_num
+
+
+# (numerator, denominator) for the packed path of product_expr.  Every case
+# but the Borodin product has b_k and p_n of both signs, from numerator
+# (1 - q^e) factors; the fourth also has a (1 + q^e) denominator.
+PACKED_CASES = [
+    ([], borodin_specs(Profile((2, 1)))),
+    ([PochSpec(1, 1, 1)] * 3, []),
+    ([PochSpec(1, 1, 1)] * 2, [PochSpec(1, 1, 3)] * 4),
+    ([PochSpec(1, 1, 2)] * 3, [PochSpec(-1, 2, 2), PochSpec(1, 1, 1)]),
+    ([PochSpec(1, 1, 1)] * 5, [PochSpec(1, 2, 1)] * 9),
+]
+CUT = series._CUT
+PACKED_ORDERS = [CUT - 1, CUT, CUT + 1, 2 * CUT + 3]
+
+
+def pack_twos(values, nbytes):
+    """_pack without the bias: each slot in two's complement."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little", signed=True)
+                                   for v in values), "little")
+
+
+def unpack_twos(packed, lo, hi, nbytes):
+    """_unpack without the bias: each slot read back in two's complement."""
+    bits = 8 * nbytes
+    return [int.from_bytes(((packed >> (i * bits)) & ((1 << bits) - 1))
+                           .to_bytes(nbytes, "little"), "little", signed=True)
+            for i in range(lo, hi)]
+
+
+def caught(order):
+    """How many PACKED_CASES product_expr gets wrong or raises on."""
+    wrong = 0
+    for num, den in PACKED_CASES:
+        try:
+            got = product_expr(num, den, order)
+        except (ValueError, OverflowError):
+            wrong += 1
+        else:
+            wrong += got != Series.one(order).times(num, den)
+    return wrong
+
+
+class TestPacked:
+    """The relaxed product kernel with its cut forced down, so that the
+    Kronecker-packed blocks run at small orders; Series.times is the
+    reference."""
+
+    @pytest.mark.parametrize("cut", [1, 2, CUT])
+    @pytest.mark.parametrize("order", [0, 1, 5] + PACKED_ORDERS)
+    def test_matches_times(self, monkeypatch, cut, order):
+        monkeypatch.setattr(series, "_CUT", cut)
+        for num, den in PACKED_CASES:
+            got = product_expr(num, den, order)
+            assert got == Series.one(order).times(num, den), (num, den)
+            assert all(type(c) is int for c in got.coeffs)
+
+    def test_slot_one_byte_short_is_caught(self, monkeypatch):
+        slot_bytes = series._slot_bytes
+        monkeypatch.setattr(series, "_slot_bytes",
+                            lambda *args: slot_bytes(*args) - 1)
+        assert caught(2 * CUT + 3)
+        monkeypatch.setattr(series, "_CUT", 2)
+        assert caught(CUT) == len(PACKED_CASES)
+
+    def test_missing_bias_is_caught(self, monkeypatch):
+        # two's complement slots are right for nonnegative values only:
+        # a negative slot borrows from the one above it
+        monkeypatch.setattr(series, "_pack", pack_twos)
+        monkeypatch.setattr(series, "_unpack", unpack_twos)
+        for cut in (2, CUT):
+            monkeypatch.setattr(series, "_CUT", cut)
+            assert caught(2 * CUT + 3) == len(PACKED_CASES) - 1
 
 
 class TestMisc:
