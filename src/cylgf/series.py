@@ -297,14 +297,10 @@ def product_expr(
         """Append p_n for n in [lo, hi), given len(p) >= lo and acc[lo:hi]
         holding the terms b_{n-j}*p_j of every j < lo."""
         if hi - lo <= _CUT:
-            if lo == 0:  # the plain recurrence: acc is still zero
-                for n in range(1, hi):
-                    p.append(sum(map(mul, b, reversed(p))) // n)
-            else:
-                run = []  # p_lo .. p_{n-1}, paired in reverse with b_1 ..
-                for n in range(lo, hi):
-                    run.append((acc[n] + sum(map(mul, b, reversed(run)))) // n)
-                p.extend(run)
+            run = p[lo:]  # p_lo .. p_{n-1}, paired in reverse with b_1 ..
+            for n in range(max(lo, 1), hi):
+                run.append((acc[n] + sum(map(mul, b, reversed(run)))) // n)
+            p[lo:] = run
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
