@@ -22,7 +22,7 @@ import time
 from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
                         enumerate_table, validate)
-from .slices import SliceError, board, decompose, flow_graph, shape, shape_letters
+from .slices import SliceError, board, decompose, flow_graph, shape, shape_name
 
 
 class UsageError(ValueError):
@@ -208,11 +208,10 @@ def cmd_decompose(args) -> int:
         raise UsageError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
     cp = validate(profile, rows)
-    letters = shape_letters(profile)
     lines = []
     for k, s in enumerate(decompose(cp), start=1):
         sh = shape(s)
-        term = f"{letters[sh]}q^{s.weight}"
+        term = f"{shape_name(sh)}q^{s.weight}"
         lines.append(
             f"level {k}: t={s.white} weight={s.weight} shape={sh} term={term}")
         if args.boards:

@@ -194,16 +194,19 @@ def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:
             for sh, low in shape_floors(profile).items()}
 
 
-def shape_letters(profile: Profile) -> dict[tuple[int, ...], str]:
-    """Stable display letters: a, b, c, ... by lexicographic shape tuple."""
-    shapes = sorted(shape_floors(profile))
-    names = {}
-    for k, sh in enumerate(shapes):
-        if k < 26:
-            names[sh] = string.ascii_lowercase[k]
-        else:
-            names[sh] = "s" + str(k)
-    return names
+def shape_name(sh: tuple[int, ...]) -> str:
+    """Display letter of a shape: a, b, c, ... by its rank among the shapes
+    of its profile in lexicographic order, then s<rank> from the 27th on.
+
+    The shapes below sh that first differ from it at entry j hold some
+    v < sh_j there, followed by any weakly decreasing tail of length
+    m = len(sh) - 1 - j with entries <= v; by the hockey-stick identity
+    there are sum_{v < sh_j} C(v + m, m) = C(sh_j + m, m + 1) of them.  The
+    rank does not depend on the level, and no shape but sh is visited.
+    """
+    k = sum(comb(s + m, m + 1)
+            for m, s in zip(range(len(sh) - 1, -1, -1), sh))
+    return string.ascii_lowercase[k] if k < 26 else f"s{k}"
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,14 @@ class SliceFlow:
     edges: tuple[tuple[Slice, Slice], ...]
 
     def to_dot(self) -> str:
-        letters = shape_letters(self.profile)
         shapes = {s: shape(s) for s in self.nodes}
         # nodes in (weight, shape, white) order, edges by their ends' ranks
         order = sorted(self.nodes, key=lambda s: (s.weight, shapes[s], s.white))
         rank = {s: k for k, s in enumerate(order)}
         lines = ["digraph sliceflow {"]
         for k, s in enumerate(order):
-            lines.append(f'  n{k} [label="{letters[shapes[s]]}q^{s.weight}"];')
+            name = shape_name(shapes[s])
+            lines.append(f'  n{k} [label="{name}q^{s.weight}"];')
         for u, v in sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
             lines.append(f"  n{rank[u]} -> n{rank[v]};")
         lines.append("}")

@@ -10,7 +10,7 @@ from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
                           decompose, flow_graph, iter_slices, min_slices,
                           recompose, shape, shape_count, shape_floors,
-                          shape_letters)
+                          shape_name)
 from test_cylindric import all_profiles
 
 
@@ -321,8 +321,26 @@ class TestFlowGraph:
 
 class TestDisplay:
     def test_letters_alphabetical_by_shape(self):
-        letters = shape_letters(Profile((2, 1)))
+        letters = {sh: shape_name(sh) for sh in shape_floors(Profile((2, 1)))}
         assert letters == {(0,): "a", (1,): "b", (2,): "c", (3,): "d"}
+
+    def test_names_follow_sorted_shapes(self):
+        # the name is the shape's index in the sorted list of all shapes,
+        # for every profile of rank <= 5 and level <= 6
+        for rank in range(1, 6):
+            for parts in itertools.product(range(7), repeat=rank):
+                if not 1 <= sum(parts) <= 6:
+                    continue
+                shapes = sorted(shape_floors(Profile(parts)))
+                for k, sh in enumerate(shapes):
+                    name = chr(ord("a") + k) if k < 26 else f"s{k}"
+                    assert shape_name(sh) == name, (parts, sh)
+
+    def test_huge_level(self):
+        # a level-(10^14 + 1) rank-2 profile has more shapes than memory
+        # holds; naming one lists none of them
+        assert shape_name((10 ** 14,)) == f"s{10 ** 14}"
+        assert shape_name((2, 0, 0)) == "e"
 
     def test_board(self):
         assert board(Slice(Profile((2, 1)), (0, 1))) == "...\n..#\n"
