@@ -220,42 +220,37 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="cylgf",
-        description="Generating functions of cylindric partitions, computed "
-                    "and cross-checked three independent ways.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _profile_and_out(sp):
+    sp.add_argument("--profile", required=True,
+                    help="comma-separated profile, e.g. 2,1")
+    sp.add_argument("--out", help="write output to this file")
 
-    def profile_and_out(sp):
-        sp.add_argument("--profile", required=True,
-                        help="comma-separated profile, e.g. 2,1")
-        sp.add_argument("--out", help="write output to this file")
 
-    def common(sp):
-        profile_and_out(sp)
-        sp.add_argument("--order", type=_int_at_least(0), required=True,
-                        help="truncation degree N")
-        sp.add_argument("--verbose", action="store_true")
+def _common(sp):
+    _profile_and_out(sp)
+    sp.add_argument("--order", type=_int_at_least(0), required=True,
+                    help="truncation degree N")
+    sp.add_argument("--verbose", action="store_true")
 
-    sp = sub.add_parser("expand", help="coefficients of F_c(1,q)")
-    common(sp)
+
+def _expand_args(sp):
+    _common(sp)
     sp.add_argument("--method", required=True,
                     choices=["borodin", "chain", "chain-distinct"])
     sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.set_defaults(fn=cmd_expand)
 
-    sp = sub.add_parser("count", help="refined (max, size) table by enumeration")
-    common(sp)
+
+def _count_args(sp):
+    _common(sp)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.set_defaults(fn=cmd_count)
 
-    sp = sub.add_parser("flow", help="slice-flow graph as DOT")
-    profile_and_out(sp)
+
+def _flow_args(sp):
+    _profile_and_out(sp)
     sp.add_argument("--max-weight", type=_int_at_least(1), required=True)
-    sp.set_defaults(fn=cmd_flow)
 
-    sp = sub.add_parser("verify", help="audit series identities and lemmas")
+
+def _verify_args(sp):
     sp.add_argument("--id", help='identity tag, e.g. 1.2, A1, gasper, L4.2(2)')
     sp.add_argument("--all", action="store_true",
                     help="run the pinned verification grid")
@@ -265,19 +260,65 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["text", "csv"], default="text")
     sp.add_argument("--out", help="write output to this file")
     sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("decompose", help="level slices of one partition")
+
+def _decompose_args(sp):
     sp.add_argument("--json", help='inline JSON {"profile":[2,1],"rows":[[2,2,1],[3]]}')
     sp.add_argument("--file", help="path to a JSON partition file")
     sp.add_argument("--boards", action="store_true", help="ASCII boards too")
     sp.add_argument("--out", help="write output to this file")
-    sp.set_defaults(fn=cmd_decompose)
+
+
+#: One row per subcommand: name, help line, arguments, handler.
+_COMMANDS = (
+    ("expand", "coefficients of F_c(1,q)", _expand_args, cmd_expand),
+    ("count", "refined (max, size) table by enumeration", _count_args,
+     cmd_count),
+    ("flow", "slice-flow graph as DOT", _flow_args, cmd_flow),
+    ("verify", "audit series identities and lemmas", _verify_args,
+     cmd_verify),
+    ("decompose", "level slices of one partition", _decompose_args,
+     cmd_decompose),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The cylgf parser; with argv naming a subcommand exactly in argv[0],
+    only that subcommand's parser is built.
+
+    argparse reads the first positional as the subcommand, and the top-level
+    parser has no option that takes a value, so argv[0] is the subcommand
+    whenever it is a command name.  Any other argv (none, -h, --, an unknown
+    or abbreviated name) gets all subparsers, so the help and the errors that
+    list the commands are those of the full parser.  The usage line, which
+    argparse also prints for trailing unknown arguments, names every command
+    either way.
+    """
+    p = argparse.ArgumentParser(
+        prog="cylgf",
+        description="Generating functions of cylindric partitions, computed "
+                    "and cross-checked three independent ways.")
+    rows = [row for row in _COMMANDS if argv and argv[0] == row[0]]
+    metavar = None
+    if rows:
+        metavar = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
+    else:
+        rows = _COMMANDS
+    # prog: the subparsers' "cylgf <name>" prefix, which argparse would
+    # otherwise work out by formatting a usage line
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar,
+                           prog=p.prog)
+    for name, help_line, add_arguments, handler in rows:
+        sp = sub.add_parser(name, help=help_line)
+        add_arguments(sp)
+        sp.set_defaults(fn=handler)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     # argparse turns an explicit `--opt=--` into [] and skips the option's
     # type and choices; no option here takes a list
     for name, value in vars(args).items():

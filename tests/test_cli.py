@@ -2,14 +2,19 @@
 import contextlib
 import io
 import json
+import resource
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cylgf
 from cylgf import genfun, lemmas
-from cylgf.cli import main
+from cylgf.cli import build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.series import NotAUnitError
 from cylgf.slices import iter_slices, shape_count
@@ -459,3 +464,190 @@ class TestVerbose:
             assert len(out.splitlines()) == identities + lemma_specs
         assert counters == {"identities": identities,
                             "lemma_specs": lemma_specs}
+
+
+class TestHugeLevel:
+    """A level far past any shape list still names its few shapes."""
+
+    @staticmethod
+    def limit_memory():
+        # a regression to listing every shape then ends in MemoryError
+        # (exit 3) instead of taking the machine's memory
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["flow", "--profile", "99999999,0", "--max-weight", "1"],
+         'digraph sliceflow {\n  n0 [label="bq^1"];\n}\n'),
+        (["decompose", "--json",
+          '{"profile":[99999999999999,1],"rows":[[1],[1]]}'],
+         "level 1: t=(1, 1) weight=2 shape=(1,) term=bq^2\n"),
+    ])
+    def test_exits_0(self, argv, expected):
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from cylgf.cli import main; sys.exit(main(sys.argv[2:]))",
+             src, *argv],
+            capture_output=True, text=True, timeout=30,
+            preexec_fn=self.limit_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+class TestGolden:
+    """Help, usage and error texts, byte for byte, at 80 columns.
+
+    The texts are argparse's as CPython 3.11 formats them.  They cover the
+    top-level help, each subcommand's help, argv that does not name a
+    subcommand exactly, trailing and unknown arguments, a bad choice,
+    missing required options and an option given `--`, plus one run of
+    each subcommand.
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN,
+                             ids=[" ".join(c["argv"])[:40] for c in GOLDEN])
+    def test_output(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(case["argv"]))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (case["code"], case["out"],
+                                            case["err"])
+
+
+COMMANDS = ["expand", "count", "flow", "verify", "decompose"]
+OPTIONS = ["--profile", "--order", "--method", "--format", "--out",
+           "--verbose", "--max-weight", "--id", "--all", "--z-power",
+           "--json", "--file", "--boards", "-h", "--help", "--", "--prof",
+           "--m", "--ord"]
+VALUES = ["2,1", "1,1,1", "3", "0", "-1", "x", "borodin", "chain",
+          "chain-distinct", "text", "json", "csv", "1.2", "gasper", "L4.2(2)",
+          '{"profile":[1,1],"rows":[[1],[]]}', "", "exp", *COMMANDS]
+TOKEN = st.one_of(
+    st.sampled_from(OPTIONS), st.sampled_from(VALUES),
+    st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES))
+    .map("=".join),
+    st.text(max_size=4))
+
+
+def parse(parser, argv):
+    """What parse_args makes of argv: the namespace, or the exit code, and
+    all that it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParserDifferential:
+    """The parser built for argv parses argv as the full parser does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=st.one_of(st.sampled_from(COMMANDS), TOKEN),
+           rest=st.lists(TOKEN, max_size=8))
+    @example(first="-h", rest=["expand"])
+    @example(first="--", rest=["expand", "--profile", "2,1"])
+    @example(first="expand", rest=["--profile", "2,1", "--order", "3",
+                                   "--method", "chain", "extra"])
+    def test_same_result(self, first, rest):
+        argv = [first, *rest]
+        assert parse(build_parser(argv), argv) == parse(build_parser(), argv)
+
+    def test_default_is_full(self):
+        # without argv every subcommand is there (bench/run.py times this
+        # parser as part of the set-up cost)
+        parser = build_parser()
+        for command in COMMANDS:
+            code, out, _ = parse(parser, [command, "-h"])
+            assert code == 0 and out.startswith(f"usage: cylgf {command} ")
+
+
+# Orders, weights and sizes stay small where the work grows with them; the
+# numbers that only reach a cut (lemma blocks, gasper's z-power, decompose's
+# profile parts) and the flow profile parts at a max weight of at most 3 may
+# be huge.
+SMALL = st.integers(0, 3)
+HUGE = st.sampled_from([10 ** 8, 10 ** 15])
+
+
+def profile(max_rank, parts):
+    return st.lists(parts, min_size=1, max_size=max_rank).map(
+        lambda ps: ",".join(map(str, ps)))
+
+
+def decompose_argv(parts, boards):
+    return st.builds(lambda c, rows: ["decompose", "--json", json.dumps(
+        {"profile": c, "rows": rows}), *boards],
+        st.lists(parts, min_size=1, max_size=3),
+        st.lists(st.lists(SMALL, max_size=3), max_size=3))
+
+
+LEMMA_TAG = st.builds(
+    "L{}.{}({})".format, st.sampled_from([4, 5]), st.integers(1, 5),
+    st.lists(st.one_of(SMALL, HUGE), min_size=1, max_size=3)
+    .map(lambda ks: ",".join(map(str, ks))))
+FUZZ_ARGV = st.one_of(
+    st.builds(lambda p, n, m, f: ["expand", "--profile", p, "--order", str(n),
+                                  "--method", m, *f],
+              profile(3, SMALL), st.integers(0, 30),
+              st.sampled_from(["borodin", "chain", "chain-distinct"]),
+              st.sampled_from([[], ["--format", "json"], ["--verbose"]])),
+    st.builds(lambda p, n: ["count", "--profile", p, "--order", str(n)],
+              profile(3, st.integers(0, 2)), st.integers(0, 10)),
+    st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],
+              profile(3, st.one_of(SMALL, HUGE)), st.integers(1, 3)),
+    st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],
+              profile(4, SMALL), st.integers(1, 8)),
+    st.builds(lambda tag, n, z: ["verify", "--id", tag, "--order", str(n),
+                                 *z],
+              st.one_of(st.sampled_from(genfun.IDENTITY_TAGS), LEMMA_TAG),
+              st.integers(0, 30),
+              st.one_of(st.just([]),
+                        st.integers(-3, 3).map(lambda z: ["--z-power",
+                                                          str(z)]),
+                        HUGE.map(lambda z: ["--z-power", str(z)]))),
+    st.builds(lambda n: ["verify", "--all", "--order", str(n)],
+              st.integers(0, 30)),
+    # a board draws every gray square, so it takes small parts only
+    decompose_argv(st.one_of(SMALL, HUGE), []),
+    decompose_argv(SMALL, ["--boards"]),
+)
+
+
+# no --out or an abbreviation of it: a run must not write files
+JUNK = st.one_of(TOKEN, st.integers(-5, 10).map(str)).filter(
+    lambda token: not token.startswith("--o"))
+
+
+def mutate(argv, data):
+    """argv with one token dropped, replaced or inserted, or as it is."""
+    i = data.draw(st.integers(0, len(argv)))
+    junk = data.draw(JUNK)
+    return data.draw(st.sampled_from([
+        argv, argv[:i] + argv[i + 1:], argv[:i] + [junk] + argv[i + 1:],
+        argv[:i] + [junk] + argv[i:]]))
+
+
+class TestFuzz:
+    """Any argv exits 0, 1 or 2: never a traceback or an internal error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=FUZZ_ARGV, data=st.data())
+    def test_exit_code_contract(self, argv, data):
+        argv = mutate(argv, data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue()
