@@ -535,16 +535,22 @@ TOKEN = st.one_of(
     st.text(max_size=4))
 
 
-def parse(parser, argv):
-    """What parse_args makes of argv: the namespace, or the exit code, and
-    all that it printed."""
+def capture(fn, argv):
+    """fn(argv), or the code of the SystemExit it raised, and all that it
+    printed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = fn(argv)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def parse(parser, argv):
+    """What parse_args makes of argv: the namespace or the exit code, and
+    all that it printed."""
+    return capture(lambda args: vars(parser.parse_args(args)), argv)
 
 
 class TestParserDifferential:
@@ -643,11 +649,5 @@ class TestFuzz:
     @given(argv=FUZZ_ARGV, data=st.data())
     def test_exit_code_contract(self, argv, data):
         argv = mutate(argv, data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        assert "internal error" not in err.getvalue()
+        code, _, err = capture(main, argv)
+        assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
