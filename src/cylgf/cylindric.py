@@ -215,10 +215,7 @@ class RefinedTable:
 
     def marginal(self) -> Series:
         """Coefficients of F_c(1, q) up to the order."""
-        n = self.order
-        return Series.from_coeffs(
-            sum(self.counts[m][k] for m in range(n + 1)) for k in range(n + 1)
-        )
+        return Series.from_coeffs(map(sum, zip(*self.counts)))
 
     def to_csv(self) -> str:
         lines = ["max,size,count"]

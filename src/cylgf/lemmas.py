@@ -18,13 +18,14 @@ with K_i = k_1+..+k_i and M_i = m_1+..+m_i.  The closed form telescopes to
 
 with M = M_n and suffix sums T_i = m_i+..+m_n.  The fixed-k variants keep
 k as an explicit parameter (k >= 0, one block) and assert a partial-fraction
-split instead of a sum.  Coefficients may be genuinely rational here: the
-fixed-k family-A identity at k = 0 carries a factor 1/(1+q^0) = 1/2.
+split instead of a sum.  The fixed-k family-A identity at k = 0 carries the
+one rational factor of the package, 1/(1+q^0) = 1/2.  A spec knows its power
+of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere), and both sides
+are computed as 2^h times their series, so every coefficient stays an int.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .series import PochSpec, Series, first_mismatch
@@ -64,12 +65,21 @@ class NestedSumSpec:
     def offset(self) -> int:
         return _OFFSETS[self.family]
 
+    @property
+    def halves(self) -> int:
+        """h, the power of two that scales both sides to integers: the one
+        factor 1/(1+q^0) = 1/2 is family A's at fixed k = 0."""
+        return int(self.family == "A" and self.fixed_k == 0)
 
-def _ratio(degree: int, plus_exps, minus_exps, order: int) -> Series:
-    """q^degree / (prod (1+q^d) * prod (1-q^d)) at the order.
 
-    Each (1+q^0) = 2 stays out of the int kernel `Series.times` and halves
-    the result instead, so this is where the lemmas' rationals come from.
+def _ratio(degree: int, plus_exps, minus_exps, order: int,
+           halves: int) -> Series:
+    """2^halves * q^degree / (prod (1+q^d) * prod (1-q^d)) at the order.
+
+    Each (1+q^0) = 2 stays out of the int kernel `Series.times` and lowers
+    the power of two of the monomial instead; `halves` is at least the
+    number of such factors, so the coefficient 2^(halves - zeros) is an int
+    (a shift: a negative exponent would raise, not make a float).
     The exponents may be ranges: past the order the result is zero and they
     are not read, so a block of 10^8 factors costs nothing.
     """
@@ -79,12 +89,8 @@ def _ratio(degree: int, plus_exps, minus_exps, order: int) -> Series:
         return Series.zero(order)
     den = [PochSpec(-1, d, 1, 1) for d in plus_exps if d != 0]
     den += [PochSpec(1, d, 1, 1) for d in minus_exps]
-    ratio = Series.monomial(degree, order).times((), den)
-    halves = plus_exps.count(0)
-    if halves:
-        ratio = Series.from_coeffs(Fraction(c, 2 ** halves)
-                                   for c in ratio.coeffs)
-    return ratio
+    coeff = 1 << (halves - plus_exps.count(0))
+    return Series.monomial(degree, order, coeff).times((), den)
 
 
 def _sum_by_twos(first: int, count: int) -> int:
@@ -92,8 +98,8 @@ def _sum_by_twos(first: int, count: int) -> int:
     return count * (first + count - 1)
 
 
-def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
-    """The multi-sum evaluated exactly at the order, one chain pass per block.
+def nested_sum(spec: NestedSumSpec, order: int) -> Series:
+    """2^h times the multi-sum at the order, one chain pass per block.
 
     Block i depends on K_i = k_1 + ... + k_i alone, and the sum runs over
     1 <= K_1 < K_2 < ... < K_n.  So with S_1(K) the first block at K and
@@ -103,8 +109,7 @@ def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
     degree) divided by the block's denominators (1 + q^(2K+2M_{i-1}+e+2j)),
     j = 0..m_i.  K_i runs from i until the least degree of any full term
     with that K_i (K_j = j before it, K_i + j - i after it) exceeds the
-    order; `extra` runs every range that many steps further, which must not
-    change any coefficient (truncation soundness).
+    order.  Only fixed-k specs have h > 0.
     """
     e = spec.offset
     blocks = spec.blocks
@@ -114,7 +119,7 @@ def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
         # denominators (1 + q^(2k+2j+e)), j = 0..m
         base, m = 2 * spec.fixed_k + e, blocks[0]
         return _ratio(_sum_by_twos(base + 1, m),
-                      range(base, base + 2 * m + 1, 2), (), order)
+                      range(base, base + 2 * m + 1, 2), (), order, spec.halves)
 
     bases = [2 * sum(blocks[:i]) + e for i in range(len(blocks))]
 
@@ -132,12 +137,8 @@ def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
     terms = [(0, (1,) + (0,) * order)]
     for i, m in enumerate(blocks):
         prefix, done, out = [0] * (order + 1), 0, []
-        k, over = i + 1, 0
-        while True:
-            if least(i, k) > order:
-                over += 1
-                if over > extra:
-                    break
+        k = i + 1
+        while least(i, k) <= order:
             while done < len(terms) and terms[done][0] < k:
                 prefix = list(map(add, prefix, terms[done][1]))
                 done += 1
@@ -154,7 +155,7 @@ def nested_sum(spec: NestedSumSpec, order: int, extra: int = 0) -> Series:
 
 
 def closed_form(spec: NestedSumSpec, order: int) -> Series:
-    """The telescoped right-hand side matching nested_sum."""
+    """2^h times the telescoped right-hand side matching nested_sum."""
     e = spec.offset
     if spec.fixed_k is not None:
         # numerators q^1 and q^(2k+2j-1+e), j = 2..m; denominators
@@ -163,19 +164,31 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
         degree = 1 + _sum_by_twos(base + 3, m - 1)
         d_low = range(base, base + 2 * m, 2)
         d_high = range(base + 2, base + 2 * m + 1, 2)
-        return (_ratio(degree, d_high, [2 * m], order)
-                - _ratio(degree, d_low, [2 * m], order))
+        return (_ratio(degree, d_high, [2 * m], order, spec.halves)
+                - _ratio(degree, d_low, [2 * m], order, spec.halves))
     # numerators q^(2j-1+e), j = 1..M, and q^(2 T_i); denominators
     # (1 + q^(2j+e)), j = 1..M, and (1 - q^(2 T_i))
     total = sum(spec.blocks)
     minus = [2 * sum(spec.blocks[i:]) for i in range(len(spec.blocks))]
     return _ratio(_sum_by_twos(1 + e, total) + sum(minus),
-                  range(2 + e, 2 * total + e + 1, 2), minus, order)
+                  range(2 + e, 2 * total + e + 1, 2), minus, order, spec.halves)
 
 
 def verify_lemma(spec: NestedSumSpec, order: int):
-    """None on success, else the Mismatch of sum (lhs) and closed form (rhs)."""
-    return first_mismatch(nested_sum(spec, order), closed_form(spec, order))
+    """None on success, else the Mismatch of sum (lhs) and closed form (rhs).
+
+    Both sides carry the same 2^h, which changes neither their equality nor
+    the first degree where they differ; only the two values of a mismatch
+    are divided back, as Fractions when h > 0.
+    """
+    bad = first_mismatch(nested_sum(spec, order), closed_form(spec, order))
+    if bad is None or not spec.halves:
+        return bad
+    from fractions import Fraction
+
+    scale = 2 ** spec.halves
+    return bad._replace(lhs=Fraction(bad.lhs, scale),
+                        rhs=Fraction(bad.rhs, scale))
 
 
 def grid(n_max: int = 3, m_max: int = 3, k_max: int = 6):

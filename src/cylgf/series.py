@@ -1,9 +1,10 @@
 """Exact truncated power series in q, plus q-Pochhammer product constructors.
 
-All coefficients are exact rationals (plain ints whenever possible); there is
-no floating point anywhere in this package.  A series of order N stores the
-coefficients of q^0 .. q^N and every binary operation demands equal orders,
-so precision is never lost silently.
+Every generating function and identity of the package has integer
+coefficients, so a series holds plain ints; there is no floating point
+anywhere in this package.  A series of order N stores the coefficients of
+q^0 .. q^N and every binary operation demands equal orders, so precision is
+never lost silently.
 
 Every Pochhammer factor is (1 - s*q^e) with e >= 1, so both product kernels
 stay on int; a constant factor such as (1 + q^0) = 2 is the caller's.  A
@@ -26,11 +27,8 @@ them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
-
-Coeff = int | Fraction
 
 #: Sentinel for an infinite Pochhammer product (a; q^t)_oo.
 UNBOUNDED = None
@@ -45,20 +43,11 @@ class OrderMismatchError(ValueError):
 
 
 class NotAUnitError(ValueError):
-    """Inversion of a series whose constant coefficient is zero."""
+    """Inversion of a series whose constant coefficient is not 1 or -1."""
 
 
 class PochSpecError(ValueError):
     """Rejected Pochhammer specification."""
-
-
-def _norm(x: Coeff) -> Coeff:
-    # an exact type test: isinstance goes through the ABC machinery of
-    # Fraction's metaclass, about 5x slower on the int coefficients that
-    # make up nearly every call
-    if type(x) is Fraction and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class Series:
     """Truncated power series: coeffs[n] is the coefficient of q^n, n <= order."""
 
     order: int
-    coeffs: tuple[Coeff, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if self.order < 0:
@@ -79,7 +68,7 @@ class Series:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> Series:
-        coeffs = tuple(_norm(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         return cls(len(coeffs) - 1, coeffs)
 
     @classmethod
@@ -91,11 +80,11 @@ class Series:
         return cls(order, (1,) + (0,) * order)
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: Coeff = 1) -> Series:
+    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> Series:
         if exponent > order:
             return cls.zero(order)
         c = [0] * (order + 1)
-        c[exponent] = _norm(coeff)
+        c[exponent] = coeff
         return cls(order, tuple(c))
 
     def _check_order(self, other: Series):
@@ -127,15 +116,13 @@ class Series:
         return Series.from_coeffs(out)
 
     def invert(self) -> Series:
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        """The inverse over the integers: the constant coefficient is 1 or -1,
+        and so is the inverse's."""
+        b0 = self.coeffs[0]
+        if b0 == 0:
             raise NotAUnitError("constant coefficient is zero")
-        if c0 == 1:
-            b0: Coeff = 1
-        elif c0 == -1:
-            b0 = -1
-        else:
-            b0 = Fraction(1, 1) / c0
+        if b0 not in (1, -1):
+            raise NotAUnitError(f"constant coefficient {b0} is not 1 or -1")
         n = self.order
         a = self.coeffs
         b = [0] * (n + 1)
@@ -186,7 +173,7 @@ class Series:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
     def to_json_dict(self) -> dict:
-        # str(Fraction(1, 2)) == "1/2"; integers stay bare decimal strings
+        # decimal strings keep big coefficients exact in any JSON reader
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
@@ -194,8 +181,8 @@ class Mismatch(NamedTuple):
     """The earliest degree where two series differ, and both values there."""
 
     degree: int
-    lhs: Coeff
-    rhs: Coeff
+    lhs: int
+    rhs: int
 
 
 def first_mismatch(a: Series, b: Series) -> Mismatch | None:

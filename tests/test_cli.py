@@ -16,7 +16,7 @@ import cylgf
 from cylgf import genfun, lemmas
 from cylgf.cli import build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
-from cylgf.series import NotAUnitError
+from cylgf.series import NotAUnitError, Series
 from cylgf.slices import iter_slices, shape_count
 
 
@@ -161,6 +161,32 @@ class TestVerify:
                     "L5.1(99999999999,99999999)", "L4.4(1,99999999,1)"):
             code, out, _ = run(capsys, "verify", "--id", tag, "--order", "5")
             assert (code, out) == (0, f"{tag},order=5,PASS\n"), tag
+
+    def test_fail_line_shows_halves(self, capsys, monkeypatch):
+        # both sides of L4.1(0,1) are computed as twice their series; a
+        # FAIL line divides the two values back: q/2 against 3q/2 at q^1
+        real = lemmas.closed_form
+        monkeypatch.setattr(lemmas, "closed_form", lambda spec, order:
+                            real(spec, order) + Series.monomial(1, order, 2))
+        code, out, _ = run(capsys, "verify", "--id", "L4.1(0,1)",
+                           "--order", "8")
+        assert (code, out) == (1, "L4.1(0,1),order=8,FAIL@q^1 lhs=1/2 "
+                                  "rhs=3/2\n")
+
+    def test_passing_run_loads_no_fractions(self):
+        # the series layer is int-only: passing runs, the lemma with the
+        # factor 1/2 among them, import neither fractions nor decimal
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from cylgf.cli import main; "
+             "codes = [main(['verify', '--id', 'L4.1(0)', '--order', '12']), "
+             "main(['verify', '--all', '--order', '12'])]; "
+             "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))",
+             src],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
 
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "7.7", "--order", "10")

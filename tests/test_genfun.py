@@ -1,11 +1,13 @@
 """Tests for the product formula, the chain DP, and the identity catalog."""
+import json
 from collections import Counter
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgf import genfun
+from cylgf import genfun, lemmas
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.genfun import (DUALITY_PAIRS, FormulaError, PROFILE_IDENTITIES,
                           UnknownIdentityError, borodin, borodin_specs,
@@ -263,6 +265,37 @@ class TestCatalog:
         monkeypatch.setattr(genfun, "catalog_sides",
                             lambda tag, order, z_power=None: (a, a))
         assert verify_identity("1.2", 1) is None
+
+
+class TestIntContract:
+    """Every series on a job path has plain int coefficients."""
+
+    GRID = json.loads(files("cylgf.data").joinpath("verify_all.json")
+                      .read_text())
+
+    @staticmethod
+    def ints(series):
+        return all(type(c) is int for c in series.coeffs)
+
+    @pytest.mark.parametrize("entry", GRID["identities"],
+                             ids=lambda e: f"{e['id']}-{e.get('z_power')}")
+    def test_catalog_sides(self, entry):
+        sides = catalog_sides(entry["id"], entry["order"], entry.get("z_power"))
+        assert all(map(self.ints, sides))
+
+    def test_lemma_grid(self):
+        lem = self.GRID["lemmas"]
+        for spec in lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"]):
+            assert self.ints(lemmas.nested_sum(spec, lem["order"])), spec
+            assert self.ints(lemmas.closed_form(spec, lem["order"])), spec
+
+    def test_profile_series(self):
+        orders = {e["id"]: e["order"] for e in self.GRID["identities"]}
+        for parts, tag in PROFILE_IDENTITIES.items():
+            profile, order = Profile(parts), orders[tag]
+            assert profile.rank <= 4
+            assert self.ints(borodin(profile, order)), parts
+            assert self.ints(chain_series(profile, order).marginal()), parts
 
 
 class TestLemmaRouting:

@@ -1,6 +1,5 @@
 """Tests for the nested-sum identities and their closed forms."""
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -77,20 +76,24 @@ class TestSpec:
 
 class TestFixedK:
     def test_family_a_k0_has_half_coefficients(self):
-        # q / ((1+q^0)(1+q^2)) = (1/2) q / (1+q^2)
+        # q / ((1+q^0)(1+q^2)) = (1/2) q / (1+q^2); the spec's h = 1, and
+        # both sides are 2^h times their series: q / (1+q^2), on int
         n = 12
         spec = NestedSumSpec("A", (1,), fixed_k=0)
+        assert spec.halves == 1
         lhs = nested_sum(spec, n)
-        expected = (one_plus_q(2, n).invert()
-                    * Series.monomial(1, n, Fraction(1, 2)))
+        expected = one_plus_q(2, n).invert() * Series.monomial(1, n)
         assert lhs == expected
+        assert all(type(c) is int for c in lhs.coeffs)
+        assert all(type(c) is int for c in closed_form(spec, n).coeffs)
         assert verify_lemma(spec, n) is None
-        # _ratio halves for a (1+q^0) itself; the series kernels take e >= 1
-        # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2
-        half = Fraction(1, 2)
-        assert _ratio(0, [0, 2], [], 4).coeffs == (half, 0, -half, 0, half)
+        # _ratio takes a (1+q^0) off the 2^h itself; the series kernels take
+        # e >= 1.  2 / ((1 + q^0)(1 + q^2)) = 1 - q^2 + q^4 - ...
+        r = _ratio(0, [0, 2], [], 4, 1)
+        assert r.coeffs == (1, 0, -1, 0, 1)
+        assert all(type(c) is int for c in r.coeffs)
         with pytest.raises(LemmaSpecError, match="vanishes"):
-            _ratio(1, [2], [0], 4)
+            _ratio(1, [2], [0], 4, 0)
 
     def test_family_a_single_term(self):
         # q^{2k+1} / ((1+q^{2k})(1+q^{2k+2})) at k=2
@@ -149,11 +152,12 @@ class TestNestedSum:
                     (blocks, order)
 
     def test_truncation_soundness(self):
+        # the ranges of K stop at the order: the sum at order 60, cut to 30,
+        # has every term that reaches q^30
         for spec in [NestedSumSpec("A", (1, 2)), NestedSumSpec("B", (2,)),
                      NestedSumSpec("C", (1, 1, 1))]:
-            base = nested_sum(spec, 30)
-            assert nested_sum(spec, 30, extra=1) == base
-            assert nested_sum(spec, 30, extra=2) == base
+            cut = Series.from_coeffs(nested_sum(spec, 60).coeffs[:31])
+            assert cut == nested_sum(spec, 30)
 
 
 class TestClosedForm:
