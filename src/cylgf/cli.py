@@ -10,7 +10,8 @@ files), 3 for internal contract violations and any other unexpected
 exception.  All file output ends with a trailing newline and is
 byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
-command's work counters and time to stderr as one JSON object.
+command's work counters and time to stderr as one JSON object.  `verify`
+checks lemma tags in `lemmas`, other tags in `genfun`, and formats its lines.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import time
 from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
                         enumerate_table, validate)
+from .series import first_mismatch
 from .slices import SliceError, board, decompose, flow_graph, shape, shape_name
 
 
@@ -116,18 +118,32 @@ def cmd_flow(args) -> int:
 
 def _verify_one(tag: str, order: int, z_power, lines: list[str],
                 work: dict) -> bool:
+    """Check one --id tag, up to a lemma tag's first failing spec, and
+    append its line."""
     if tag.startswith("L"):
-        work["lemma_specs"] += len(genfun.lemmas_for_tag(tag))
+        specs = lemmas.parse_tag(tag)
+        work["lemma_specs"] += len(specs)
+        checks = (lemmas.verify_lemma(spec, order) for spec in specs)
+        bad = next((b for b in checks if b is not None), None)
     else:
         work["identities"] += 1
-    bad = genfun.verify_identity(tag, order, z_power)
+        bad = first_mismatch(*genfun.catalog_sides(tag, order, z_power))
     name = tag if z_power is None else f"{tag}(z=q^{z_power})"
-    if bad is None:
-        lines.append(f"{name},order={order},PASS")
-        return True
-    lines.append(
-        f"{name},order={order},FAIL@q^{bad.degree} lhs={bad.lhs} rhs={bad.rhs}")
-    return False
+    status = ("PASS" if bad is None
+              else f"FAIL@q^{bad.degree} lhs={bad.lhs} rhs={bad.rhs}")
+    lines.append(f"{name},order={order},{status}")
+    return bad is None
+
+
+def _lemma_line(spec, order: int, lines: list[str]) -> bool:
+    """Check one spec of the --all grid and append its line."""
+    bad = lemmas.verify_lemma(spec, order)
+    status = "PASS" if bad is None else f"FAIL@q^{bad.degree}"
+    k = "-" if spec.fixed_k is None else spec.fixed_k
+    m_vec = "+".join(map(str, spec.blocks))
+    lines.append(f"{spec.family},{len(spec.blocks)},{m_vec},{k},{order},"
+                 f"{status}")
+    return bad is None
 
 
 def cmd_verify(args) -> int:
@@ -150,10 +166,8 @@ def cmd_verify(args) -> int:
         lem = grid["lemmas"]
         order = args.order if args.order is not None else lem["order"]
         for spec in lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"]):
-            line, good = lemmas.report_line(spec, order)
             work["lemma_specs"] += 1
-            lines.append(line)
-            ok &= good
+            ok &= _lemma_line(spec, order, lines)
     elif args.id:
         order = args.order if args.order is not None else 40
         if args.format == "csv":

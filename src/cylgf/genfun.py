@@ -3,20 +3,18 @@
 * borodin: the closed-form infinite product for F_c(1, q).
 * chain_series: the slice-chain DP, refined by the largest-part statistic
   (z-degree) and the size (q-degree).
-* catalog_sides: a table of named series identities, one row per tag,
-  read by one evaluator.  Each sum is kept by its term ratio and built term
-  from previous term; both sides are expanded so they can be compared
-  coefficient by coefficient.
+* catalog_sides: a table of named series identities, one row per tag
+  (the lemma tags L4.x, L5.x belong to `lemmas`), read by one evaluator.
+  Each sum is kept by its term ratio and built term from previous term;
+  both sides are expanded so they can be compared coefficient by coefficient.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import lemmas
 from .cylindric import Profile
-from .series import PochSpec, Series, first_mismatch, pochhammer, product_expr
+from .series import PochSpec, Series, pochhammer, product_expr
 from .slices import baseline, shape_difference, shape_floors
 
 
@@ -277,43 +275,3 @@ DUALITY_PAIRS = (
     ((2, 2), (1, 0, 1, 0)),
     ((3, 1), (1, 1, 0, 0)),
 )
-
-
-def verify_identity(tag: str, order: int, z_power: int | None = None):
-    """Route a catalog or lemma tag to its evaluator; None means PASS,
-    otherwise the first Mismatch found."""
-    if tag.startswith("L"):
-        for spec in lemmas_for_tag(tag):
-            bad = lemmas.verify_lemma(spec, order)
-            if bad is not None:
-                return bad
-        return None
-    return first_mismatch(*catalog_sides(tag, order, z_power))
-
-
-def lemmas_for_tag(tag: str) -> list:
-    """Parse "L4.2(2)", "L4.3(1,2)", "L4.1(3)" style lemma tags.
-
-    L4.x map to family A, L5.2-L5.4 to family B, L5.5 to family C; L4.1 and
-    L5.1 are the fixed-k variants (block length defaults to 1..3).
-    """
-    m = re.fullmatch(r"L([45])\.([1-5])\((\d+(?:,\d+)*)\)", tag)
-    if not m:
-        raise UnknownIdentityError(f"cannot parse lemma tag {tag!r}")
-    group, number = int(m.group(1)), int(m.group(2))
-    args = tuple(int(x) for x in m.group(3).split(","))
-    if group == 4 and number == 5:
-        raise UnknownIdentityError(f"unknown lemma tag {tag!r}")
-    family = "A" if group == 4 else ("C" if number == 5 else "B")
-    if number == 1:
-        if len(args) > 2:
-            raise UnknownIdentityError(
-                f"{tag}: expected 1 or 2 parameters, got {len(args)}")
-        k = args[0]
-        ms = [args[1]] if len(args) > 1 else [1, 2, 3]
-        return [lemmas.NestedSumSpec(family, (mm,), fixed_k=k) for mm in ms]
-    expected = {2: 1, 3: 2}.get(number)
-    if expected is not None and len(args) != expected:
-        raise UnknownIdentityError(
-            f"{tag}: expected {expected} parameter(s), got {len(args)}")
-    return [lemmas.NestedSumSpec(family, args)]

@@ -22,10 +22,13 @@ split instead of a sum.  The fixed-k family-A identity at k = 0 carries the
 one rational factor of the package, 1/(1+q^0) = 1/2.  A spec knows its power
 of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere), and both sides
 are computed as 2^h times their series, so every coefficient stays an int.
+`parse_tag` reads the lemma tags of `cylgf verify --id`, such as "L4.2(2)".
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 from .series import PochSpec, Series, first_mismatch
@@ -121,16 +124,19 @@ def nested_sum(spec: NestedSumSpec, order: int) -> Series:
         return _ratio(_sum_by_twos(base + 1, m),
                       range(base, base + 2 * m + 1, 2), (), order, spec.halves)
 
-    bases = [2 * sum(blocks[:i]) + e for i in range(len(blocks))]
+    bases = [2 * before + e for before in accumulate(blocks[:-1], initial=0)]
+    tails = list(accumulate(reversed(blocks)))[::-1]
 
     def degree(i: int, k: int) -> int:
         """Numerator degree of block i at K_i = k."""
         m = blocks[i]
         return m * (2 * k + bases[i]) + m * m
 
-    def least(i: int, k: int) -> int:
-        return sum(degree(j, j + 1 if j < i else k + j - i)
-                   for j in range(len(blocks)))
+    # the least term, K_j = j for every j, has degree low; with K_i = k it
+    # gains 2 (k - i) T_i, T_i = m_i + ... + m_n (i counted from 1 here)
+    low = sum(degree(j, j + 1) for j in range(len(blocks)))
+    if low > order:
+        return Series.zero(order)
 
     # (K, coefficients) of the previous block's terms; the empty block is 1
     # at K = 0.  Prefix sums stay plain lists, added in C by map(add, ...).
@@ -138,7 +144,7 @@ def nested_sum(spec: NestedSumSpec, order: int) -> Series:
     for i, m in enumerate(blocks):
         prefix, done, out = [0] * (order + 1), 0, []
         k = i + 1
-        while least(i, k) <= order:
+        while low + 2 * (k - i - 1) * tails[i] <= order:
             while done < len(terms) and terms[done][0] < k:
                 prefix = list(map(add, prefix, terms[done][1]))
                 done += 1
@@ -169,7 +175,7 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
     # numerators q^(2j-1+e), j = 1..M, and q^(2 T_i); denominators
     # (1 + q^(2j+e)), j = 1..M, and (1 - q^(2 T_i))
     total = sum(spec.blocks)
-    minus = [2 * sum(spec.blocks[i:]) for i in range(len(spec.blocks))]
+    minus = [2 * tail for tail in accumulate(reversed(spec.blocks))][::-1]
     return _ratio(_sum_by_twos(1 + e, total) + sum(minus),
                   range(2 + e, 2 * total + e + 1, 2), minus, order, spec.halves)
 
@@ -191,8 +197,9 @@ def verify_lemma(spec: NestedSumSpec, order: int):
                         rhs=Fraction(bad.rhs, scale))
 
 
-def grid(n_max: int = 3, m_max: int = 3, k_max: int = 6):
-    """The default verification grid over all three families."""
+def grid(n_max: int, m_max: int, k_max: int):
+    """Every spec of at most n_max blocks of length at most m_max, and the
+    fixed-k variants of families A and B up to k_max."""
     specs = []
     for family in ("A", "B", "C"):
         vecs = [()]
@@ -206,11 +213,28 @@ def grid(n_max: int = 3, m_max: int = 3, k_max: int = 6):
     return specs
 
 
-def report_line(spec: NestedSumSpec, order: int) -> tuple[str, bool]:
-    """One CSV-ish audit line: family,n,m_vec,k_or_-,order,status."""
-    bad = verify_lemma(spec, order)
-    status = "PASS" if bad is None else f"FAIL@q^{bad.degree}"
-    k = "-" if spec.fixed_k is None else str(spec.fixed_k)
-    m_vec = "+".join(str(m) for m in spec.blocks)
-    line = f"{spec.family},{len(spec.blocks)},{m_vec},{k},{order},{status}"
-    return line, bad is None
+def parse_tag(tag: str) -> list[NestedSumSpec]:
+    """The specs of a lemma tag such as "L4.2(2)", "L4.3(1,2)" or "L4.1(3)".
+
+    L4.x map to family A, L5.2-L5.4 to family B, L5.5 to family C; L4.1 and
+    L5.1 are the fixed-k variants (block length defaults to 1..3).
+    """
+    m = re.fullmatch(r"L([45])\.([1-5])\((\d+(?:,\d+)*)\)", tag)
+    if not m:
+        raise LemmaSpecError(f"cannot parse lemma tag {tag!r}")
+    group, number = int(m.group(1)), int(m.group(2))
+    args = tuple(int(x) for x in m.group(3).split(","))
+    if group == 4 and number == 5:
+        raise LemmaSpecError(f"unknown lemma tag {tag!r}")
+    family = "A" if group == 4 else ("C" if number == 5 else "B")
+    if number == 1:
+        if len(args) > 2:
+            raise LemmaSpecError(
+                f"{tag}: expected 1 or 2 parameters, got {len(args)}")
+        return [NestedSumSpec(family, (m,), fixed_k=args[0])
+                for m in args[1:] or (1, 2, 3)]
+    expected = {2: 1, 3: 2}.get(number)
+    if expected is not None and len(args) != expected:
+        raise LemmaSpecError(
+            f"{tag}: expected {expected} parameter(s), got {len(args)}")
+    return [NestedSumSpec(family, args)]

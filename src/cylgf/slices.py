@@ -117,32 +117,34 @@ def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
 def iter_slices(profile: Profile, max_weight: int):
     """Non-empty valid slices with weight <= max_weight, lazily.
 
-    Slices come out in (weight, white tuple) order: for w = 1, 2, ...,
-    max_weight the tuples of sum exactly w are built entry by entry in
-    lexicographic order.  A prefix only grows by t_{i+1} <= t_i + c_{i+1},
-    the last entry takes the room that is left, and only the cyclic edge
-    t_1 <= t_r + c_1 is tested on a complete tuple.  No invalid tuple is
-    ever wrapped in a Slice and nothing is collected or sorted, so a
-    caller that stops early pays only for the slices it consumed.
+    Slices come out in (weight, white tuple) order: for each w up to
+    max_weight an odometer, one list and no recursion, turns out the tuples
+    of sum w in lexicographic order.  A free entry t_{i+1} only grows up to
+    t_i + c_{i+1}, the last entry t_r takes the room left, and only its two
+    edges are tested.  Nothing is collected or sorted, so a caller that
+    stops early pays only for the slices it consumed.
     """
     c = profile.parts
     r = profile.rank
-
-    def extend(prefix, room):
-        i = len(prefix)
-        if i == r - 1:
-            if room <= prefix[-1] + c[i] and prefix[0] <= room + c[0]:
-                yield Slice(profile, prefix + (room,))
-            return
-        for v in range(min(room, prefix[-1] + c[i]) + 1):
-            yield from extend(prefix + (v,), room - v)
-
     for w in range(1, max_weight + 1):
         if r == 1:
             yield Slice(profile, (w,))
-        else:
-            for first in range(w + 1):
-                yield from extend((first,), w - first)
+            continue
+        t = [0] * (r - 1) + [w]
+        while True:
+            if t[-1] <= t[-2] + c[-1] and t[0] <= t[-1] + c[0]:
+                yield Slice(profile, tuple(t))
+            # the rightmost free entry that may grow takes one unit of room;
+            # the free entries right of it give theirs back and go to 0
+            room, i = t[-1], r - 2
+            while i >= 0 and (not room or i and t[i] >= t[i - 1] + c[i]):
+                room += t[i]
+                t[i] = 0
+                i -= 1
+            if i < 0:
+                break
+            t[i] += 1
+            t[-1] = room - 1
 
 
 def shape_count(profile: Profile) -> int:

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 from importlib.resources import files
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
@@ -492,8 +493,14 @@ class TestVerbose:
                             "lemma_specs": lemma_specs}
 
 
+# a lemma tag of 20,000 blocks: its least term has degree past 10^4
+MANY_BLOCKS = "L4.4({})".format(",".join(["1"] * 20000))
+
+
 class TestHugeLevel:
-    """A level far past any shape list still names its few shapes."""
+    """A level far past any shape list still names its few shapes; a rank
+    far past the recursion limit still lists its slices; a lemma tag of
+    many blocks whose every term lies past the order costs little."""
 
     @staticmethod
     def limit_memory():
@@ -507,6 +514,13 @@ class TestHugeLevel:
         (["decompose", "--json",
           '{"profile":[99999999999999,1],"rows":[[1],[1]]}'],
          "level 1: t=(1, 1) weight=2 shape=(1,) term=bq^2\n"),
+        pytest.param(["flow", "--profile", ",".join(["1"] + ["0"] * 1499),
+                      "--max-weight", "1"],
+                     'digraph sliceflow {\n  n0 [label="bq^1"];\n}\n',
+                     id="flow-rank-1500"),
+        pytest.param(["verify", "--id", MANY_BLOCKS, "--order", "10"],
+                     f"{MANY_BLOCKS},order=10,PASS\n",
+                     id="verify-20000-lemma-blocks"),
     ])
     def test_exits_0(self, argv, expected):
         src = str(Path(cylgf.__file__).resolve().parent.parent)
@@ -530,7 +544,7 @@ class TestGolden:
     top-level help, each subcommand's help, argv that does not name a
     subcommand exactly, trailing and unknown arguments, a bad choice,
     missing required options and an option given `--`, plus one run of
-    each subcommand.
+    each subcommand and the lemma-tag errors and lines of `verify`.
     """
 
     @pytest.mark.parametrize("case", GOLDEN,
@@ -603,9 +617,9 @@ class TestParserDifferential:
 
 
 # Orders, weights and sizes stay small where the work grows with them; the
-# numbers that only reach a cut (lemma blocks, gasper's z-power, decompose's
-# profile parts) and the flow profile parts at a max weight of at most 3 may
-# be huge.
+# numbers that only reach a cut (lemma blocks and their count, gasper's
+# z-power, decompose's profile parts) and the flow profile parts at a max
+# weight of at most 3 may be huge.
 SMALL = st.integers(0, 3)
 HUGE = st.sampled_from([10 ** 8, 10 ** 15])
 
@@ -622,9 +636,11 @@ def decompose_argv(parts, boards):
         st.lists(st.lists(SMALL, max_size=3), max_size=3))
 
 
+BLOCKS = st.lists(st.one_of(SMALL, HUGE), min_size=1, max_size=3)
 LEMMA_TAG = st.builds(
     "L{}.{}({})".format, st.sampled_from([4, 5]), st.integers(1, 5),
-    st.lists(st.one_of(SMALL, HUGE), min_size=1, max_size=3)
+    st.one_of(BLOCKS, st.builds(lambda ks, n: list(islice(cycle(ks), n)),
+                                BLOCKS, st.integers(4, 3000)))
     .map(lambda ks: ",".join(map(str, ks))))
 FUZZ_ARGV = st.one_of(
     st.builds(lambda p, n, m, f: ["expand", "--profile", p, "--order", str(n),

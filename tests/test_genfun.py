@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgf import genfun, lemmas
+from cylgf.cli import _verify_one, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.genfun import (DUALITY_PAIRS, FormulaError, PROFILE_IDENTITIES,
                           UnknownIdentityError, borodin, borodin_specs,
-                          catalog_sides, chain_series, lemmas_for_tag,
-                          verify_identity)
-from cylgf.lemmas import NestedSumSpec
+                          catalog_sides, chain_series)
+from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (Mismatch, PochSpec, Series, first_mismatch,
                           pochhammer, product_expr)
 from cylgf.slices import contains, iter_slices
@@ -256,15 +256,20 @@ class TestCatalog:
         with pytest.raises(UnknownIdentityError):
             catalog_sides("gasper", 10)  # missing z_power
 
-    def test_verify_identity_reports_mismatch(self, monkeypatch):
+    def test_verify_identity_reports_mismatch(self, capsys, monkeypatch):
+        # verify reads the two sides through genfun.catalog_sides, so a
+        # wrapper of that name sees every catalog check
         a = Series.from_coeffs([1, 1])
         b = Series.from_coeffs([1, 2])
+        assert first_mismatch(a, b) == Mismatch(1, 1, 2)
         monkeypatch.setattr(genfun, "catalog_sides",
                             lambda tag, order, z_power=None: (a, b))
-        assert verify_identity("1.2", 1) == Mismatch(1, 1, 2)
+        assert main(["verify", "--id", "1.2", "--order", "1"]) == 1
+        assert capsys.readouterr().out == "1.2,order=1,FAIL@q^1 lhs=1 rhs=2\n"
         monkeypatch.setattr(genfun, "catalog_sides",
                             lambda tag, order, z_power=None: (a, a))
-        assert verify_identity("1.2", 1) is None
+        assert main(["verify", "--id", "1.2", "--order", "1"]) == 0
+        assert capsys.readouterr().out == "1.2,order=1,PASS\n"
 
 
 class TestIntContract:
@@ -299,24 +304,30 @@ class TestIntContract:
 
 
 class TestLemmaRouting:
+    """`verify --id` sends a lemma tag to `lemmas.parse_tag` and any other
+    tag to the catalog."""
+
     def test_parse_multi_block(self):
-        assert lemmas_for_tag("L4.4(1,2,3)") == [NestedSumSpec("A", (1, 2, 3))]
-        assert lemmas_for_tag("L5.5(2,1)") == [NestedSumSpec("C", (2, 1))]
-        assert lemmas_for_tag("L5.2(2)") == [NestedSumSpec("B", (2,))]
+        assert parse_tag("L4.4(1,2,3)") == [NestedSumSpec("A", (1, 2, 3))]
+        assert parse_tag("L5.5(2,1)") == [NestedSumSpec("C", (2, 1))]
+        assert parse_tag("L5.2(2)") == [NestedSumSpec("B", (2,))]
 
     def test_parse_fixed_k(self):
-        specs = lemmas_for_tag("L4.1(3)")
+        specs = parse_tag("L4.1(3)")
         assert all(s.fixed_k == 3 and s.family == "A" for s in specs)
         assert [s.blocks for s in specs] == [(1,), (2,), (3,)]
-        assert lemmas_for_tag("L5.1(0,2)") == [
+        assert parse_tag("L5.1(0,2)") == [
             NestedSumSpec("B", (2,), fixed_k=0)]
 
     def test_parse_rejections(self):
         for bad in ["L4.5(1)", "L4.2(1,2)", "L6.1(1)", "L4.2", "nonsense",
                     "L4.1(3,2,5)", "L5.1(3,2,99)"]:
-            with pytest.raises(UnknownIdentityError):
-                lemmas_for_tag(bad)
+            with pytest.raises(LemmaSpecError):
+                parse_tag(bad)
 
     def test_verify_identity_routes_lemmas(self):
-        assert verify_identity("L4.3(2,1)", 30) is None
-        assert verify_identity("1.3", 30) is None
+        lines, work = [], {"identities": 0, "lemma_specs": 0}
+        assert _verify_one("L4.3(2,1)", 30, None, lines, work)
+        assert _verify_one("1.3", 30, None, lines, work)
+        assert lines == ["L4.3(2,1),order=30,PASS", "1.3,order=30,PASS"]
+        assert work == {"identities": 1, "lemma_specs": 1}
