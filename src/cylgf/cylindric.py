@@ -9,9 +9,9 @@ the partitions from the same walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import lt
 
+from .record import Record
 from .series import Series
 
 
@@ -50,19 +50,27 @@ class InequalityError(PartitionError):
                 f"< {self.rhs} (required >= by the profile shift)")
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Composition c = (c_1, ..., c_r); rank r, level sum(c), t = r + level."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) == 0:
+    def __init__(self, parts: tuple[int, ...]):
+        if len(parts) == 0:
             raise ProfileError("profile must have rank >= 1")
-        if any(c < 0 for c in self.parts):
-            raise ProfileError(f"profile parts must be >= 0: {self.parts}")
-        if sum(self.parts) < 1:
+        if min(parts) < 0:
+            raise ProfileError(f"profile parts must be >= 0: {parts}")
+        if sum(parts) < 1:
             raise ProfileError("the all-zero profile (level 0) is rejected")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
 
     @property
     def rank(self) -> int:
@@ -92,16 +100,26 @@ class Profile:
         return "(" + ",".join(str(c) for c in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class CylindricPartition:
+class CylindricPartition(Record):
     """r ordinary partitions satisfying the cyclic shift inequalities.
 
     Rows are stored with trailing zeros stripped; equality is componentwise.
     Construct through validate() unless the input is known to be valid.
     """
 
-    profile: Profile
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("profile", "rows")
+
+    def __init__(self, profile: Profile, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.rows) == (other.profile, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.rows))
 
     @property
     def size(self) -> int:
@@ -205,13 +223,25 @@ def iter_partitions(profile: Profile, bound: int) -> list[CylindricPartition]:
     return found
 
 
-@dataclass(frozen=True)
-class RefinedTable:
+class RefinedTable(Record):
     """counts[m][n] = number of cylindric partitions with largest part m, size n."""
 
-    profile: Profile
-    order: int
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = ("profile", "order", "counts")
+
+    def __init__(self, profile: Profile, order: int,
+                 counts: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.profile, self.order, self.counts)
+                    == (other.profile, other.order, other.counts))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.order, self.counts))
 
     def marginal(self) -> Series:
         """Coefficients of F_c(1, q) up to the order."""

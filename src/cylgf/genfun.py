@@ -10,10 +10,10 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .cylindric import Profile
+from .record import Record
 from .series import PochSpec, Series, pochhammer, product_expr
 from .slices import baseline, shape_difference, shape_floors
 
@@ -60,19 +60,37 @@ def borodin(profile: Profile, order: int) -> Series:
     return product_expr([], borodin_specs(profile), order)
 
 
-@dataclass(frozen=True)
-class ChainGF:
-    """table[m][n] = coefficient of z^m q^n in the chain generating function."""
+class ChainGF(Record):
+    """table[m][n] = coefficient of z^m q^n in the chain generating function.
 
-    profile: Profile
-    order: int
-    distinct: bool
-    table: tuple[tuple[int, ...], ...]
-    # work done: slices, shapes, prefix sums added, packed slot width
-    nodes: int = field(default=0, compare=False)
-    shapes: int = field(default=0, compare=False)
-    shape_pairs: int = field(default=0, compare=False)
-    slot_bits: int = field(default=0, compare=False)
+    The last four fields count the work done (slices, shapes, prefix sums
+    added, packed slot width); equality and hashing leave them out.
+    """
+
+    __slots__ = ("profile", "order", "distinct", "table",
+                 "nodes", "shapes", "shape_pairs", "slot_bits")
+
+    def __init__(self, profile: Profile, order: int, distinct: bool,
+                 table: tuple[tuple[int, ...], ...], nodes: int = 0,
+                 shapes: int = 0, shape_pairs: int = 0, slot_bits: int = 0):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "shape_pairs", shape_pairs)
+        object.__setattr__(self, "slot_bits", slot_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.profile, self.order, self.distinct, self.table)
+                    == (other.profile, other.order, other.distinct,
+                        other.table))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.order, self.distinct, self.table))
 
     def marginal(self) -> Series:
         """Specialization z = 1."""

@@ -27,10 +27,10 @@ are computed as 2^h times their series, so every coefficient stays an int.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
+from .record import Record
 from .series import PochSpec, Series, first_mismatch
 
 _OFFSETS = {"A": 0, "B": 1, "C": -1}
@@ -40,29 +40,39 @@ class LemmaSpecError(ValueError):
     """Rejected nested-sum specification."""
 
 
-@dataclass(frozen=True)
-class NestedSumSpec:
+class NestedSumSpec(Record):
     """family A/B/C; block lengths m_1..m_n; optional fixed summation index."""
 
-    family: str
-    blocks: tuple[int, ...]
-    fixed_k: int | None = None
+    __slots__ = ("family", "blocks", "fixed_k")
 
-    def __post_init__(self):
-        if self.family not in _OFFSETS:
-            raise LemmaSpecError(f"unknown family {self.family!r}")
-        if not self.blocks or any(m < 1 for m in self.blocks):
-            raise LemmaSpecError(f"block lengths must be >= 1: {self.blocks}")
-        if self.fixed_k is not None:
-            if len(self.blocks) != 1:
+    def __init__(self, family: str, blocks: tuple[int, ...],
+                 fixed_k: int | None = None):
+        if family not in _OFFSETS:
+            raise LemmaSpecError(f"unknown family {family!r}")
+        if not blocks or min(blocks) < 1:
+            raise LemmaSpecError(f"block lengths must be >= 1: {blocks}")
+        if fixed_k is not None:
+            if len(blocks) != 1:
                 raise LemmaSpecError("fixed_k requires a single block")
-            if self.fixed_k < 0:
-                raise LemmaSpecError(f"fixed_k must be >= 0, got {self.fixed_k}")
-            low = 2 * self.fixed_k + self.offset
+            if fixed_k < 0:
+                raise LemmaSpecError(f"fixed_k must be >= 0, got {fixed_k}")
+            low = 2 * fixed_k + _OFFSETS[family]
             if low < 0:
                 raise LemmaSpecError(
-                    f"fixed_k = {self.fixed_k} gives family {self.family} "
+                    f"fixed_k = {fixed_k} gives family {family} "
                     f"the factor (1 + q^{low})")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "fixed_k", fixed_k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.family, self.blocks, self.fixed_k)
+                    == (other.family, other.blocks, other.fixed_k))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.blocks, self.fixed_k))
 
     @property
     def offset(self) -> int:

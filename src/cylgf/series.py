@@ -26,9 +26,10 @@ them by name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
+
+from .record import Record
 
 #: Sentinel for an infinite Pochhammer product (a; q^t)_oo.
 UNBOUNDED = None
@@ -50,21 +51,29 @@ class PochSpecError(ValueError):
     """Rejected Pochhammer specification."""
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """Truncated power series: coeffs[n] is the coefficient of q^n, n <= order."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"negative order {self.order}")
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        if order < 0:
+            raise ValueError(f"negative order {order}")
+        if len(coeffs) != order + 1:
             raise ValueError(
-                f"order {self.order} requires {self.order + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"order {order} requires {order + 1} coefficients, "
+                f"got {len(coeffs)}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.coeffs) == (other.order, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> Series:
@@ -194,28 +203,38 @@ def first_mismatch(a: Series, b: Series) -> Mismatch | None:
     return None
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class PochSpec(Record):
     """One factor group prod_k (1 - sign * q^(start + k*step)).
 
     count=UNBOUNDED means the infinite product; at truncation N only the
     factors with exponent <= N contribute.
     """
 
-    sign: int
-    start: int
-    step: int
-    count: int | None = UNBOUNDED
+    __slots__ = ("sign", "start", "step", "count")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise PochSpecError(f"sign must be +1 or -1, got {self.sign}")
-        if self.start < 1:
-            raise PochSpecError(f"start must be >= 1, got {self.start}")
-        if self.step < 1:
-            raise PochSpecError(f"step must be >= 1, got {self.step}")
-        if self.count is not UNBOUNDED and self.count < 0:
-            raise PochSpecError(f"count must be >= 0, got {self.count}")
+    def __init__(self, sign: int, start: int, step: int,
+                 count: int | None = UNBOUNDED):
+        if sign not in (1, -1):
+            raise PochSpecError(f"sign must be +1 or -1, got {sign}")
+        if start < 1:
+            raise PochSpecError(f"start must be >= 1, got {start}")
+        if step < 1:
+            raise PochSpecError(f"step must be >= 1, got {step}")
+        if count is not UNBOUNDED and count < 0:
+            raise PochSpecError(f"count must be >= 0, got {count}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "count", count)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.sign, self.start, self.step, self.count)
+                    == (other.sign, other.start, other.step, other.count))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sign, self.start, self.step, self.count))
 
     def exponents(self, order: int) -> range:
         """Exponents e of the factors with e <= order, all of them >= 1."""

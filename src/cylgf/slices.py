@@ -9,12 +9,11 @@ describe slices and their containment that way, for the chain DP.
 """
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
 from .cylindric import CylindricPartition, Profile
+from .record import Record
 
 
 class SliceError(ValueError):
@@ -33,20 +32,29 @@ def baseline(profile: Profile) -> tuple[int, ...]:
     return tuple(c[0] + sum(c[i + 1 :]) for i in range(r))
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(Record):
     """White-square counts t_1..t_r over the gray baseline."""
 
-    profile: Profile
-    white: tuple[int, ...]
+    __slots__ = ("profile", "white")
 
-    def __post_init__(self):
-        if len(self.white) != self.profile.rank:
+    def __init__(self, profile: Profile, white: tuple[int, ...]):
+        if len(white) != profile.rank:
             raise SliceError(
-                f"expected {self.profile.rank} white counts, got {len(self.white)}"
+                f"expected {profile.rank} white counts, got {len(white)}"
             )
-        if any(t < 0 for t in self.white):
-            raise SliceError(f"negative white count: {self.white}")
+        # not empty: a profile has rank >= 1
+        if min(white) < 0:
+            raise SliceError(f"negative white count: {white}")
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "white", white)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.white) == (other.profile, other.white)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.white))
 
     @property
     def weight(self) -> int:
@@ -208,17 +216,31 @@ def shape_name(sh: tuple[int, ...]) -> str:
     """
     k = sum(comb(s + m, m + 1)
             for m, s in zip(range(len(sh) - 1, -1, -1), sh))
-    return string.ascii_lowercase[k] if k < 26 else f"s{k}"
+    return chr(ord("a") + k) if k < 26 else f"s{k}"
 
 
-@dataclass(frozen=True)
-class SliceFlow:
+class SliceFlow(Record):
     """Single-square-addition graph on non-empty valid slices of weight <= bound."""
 
-    profile: Profile
-    max_weight: int
-    nodes: tuple[Slice, ...]
-    edges: tuple[tuple[Slice, Slice], ...]
+    __slots__ = ("profile", "max_weight", "nodes", "edges")
+
+    def __init__(self, profile: Profile, max_weight: int,
+                 nodes: tuple[Slice, ...],
+                 edges: tuple[tuple[Slice, Slice], ...]):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "max_weight", max_weight)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.profile, self.max_weight, self.nodes, self.edges)
+                    == (other.profile, other.max_weight, other.nodes,
+                        other.edges))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.max_weight, self.nodes, self.edges))
 
     def to_dot(self) -> str:
         shapes = {s: shape(s) for s in self.nodes}

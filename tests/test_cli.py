@@ -189,6 +189,31 @@ class TestVerify:
             capture_output=True, text=True, timeout=60)
         assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
 
+    def test_start_up_loads_no_dataclasses_inspect_or_string(self):
+        # the records are slotted classes: neither the import and the full
+        # parser nor a run of each command loads dataclasses (which brings
+        # inspect) or string; only modules new since the start are counted,
+        # so whatever site loads does not matter
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        argvs = [
+            ["expand", "--profile", "2,1", "--order", "6", "--method", "chain"],
+            ["count", "--profile", "1,1", "--order", "3"],
+            ["flow", "--profile", "2,1", "--max-weight", "2"],
+            ["verify", "--id", "L4.1(0)", "--order", "12"],
+            ["decompose", "--json", TestDecompose.PART, "--boards"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; before = set(sys.modules); "
+             "sys.path.insert(0, sys.argv[1]); "
+             "import cylgf.cli; cylgf.cli.build_parser(); "
+             "codes = [cylgf.cli.main(a) for a in json.loads(sys.argv[2])]; "
+             "new = set(sys.modules) - before; "
+             "print(codes, sorted({'dataclasses', 'inspect', 'string'} & new))",
+             src, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []", proc.stderr
+
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "7.7", "--order", "10")
         assert code == 2 and "error" in err

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
                           decompose, flow_graph, iter_slices, min_slices,
-                          recompose, shape, shape_count, shape_floors,
-                          shape_name)
+                          recompose, shape, shape_count, shape_difference,
+                          shape_floors, shape_name)
 from test_cylindric import all_profiles
 
 
@@ -335,6 +335,33 @@ class TestDisplay:
                 for k, sh in enumerate(shapes):
                     name = chr(ord("a") + k) if k < 26 else f"s{k}"
                     assert shape_name(sh) == name, (parts, sh)
+
+    #: rank 2: d(sigma', sigma) by shape letter, row sigma' (the inner
+    #: slice), column sigma (the outer), as printed in the README
+    DIFFERENCES = {
+        2: ("abc", [[0, 0, 0],
+                    [1, 0, 0],
+                    [2, 1, 0]]),
+        3: ("abcd", [[0, 0, 0, 0],
+                     [1, 0, 0, 0],
+                     [2, 1, 0, 0],
+                     [3, 2, 1, 0]]),
+        4: ("abcde", [[0, 0, 0, 0, 0],
+                      [1, 0, 0, 0, 0],
+                      [2, 1, 0, 0, 0],
+                      [3, 2, 1, 0, 0],
+                      [4, 3, 2, 1, 0]]),
+    }
+
+    @pytest.mark.parametrize("level", DIFFERENCES)
+    def test_rank_two_difference_matrices(self, level):
+        letters, matrix = self.DIFFERENCES[level]
+        for first in range(level + 1):
+            shapes = sorted(shape_floors(Profile((first, level - first))),
+                            key=shape_name)
+            assert "".join(map(shape_name, shapes)) == letters
+            assert [[shape_difference(inner, outer) for outer in shapes]
+                    for inner in shapes] == matrix
 
     def test_huge_level(self):
         # a level-(10^14 + 1) rank-2 profile has more shapes than memory
