@@ -1,9 +1,10 @@
 """Exact generating functions of cylindric partitions, three independent ways.
 
-Subpackages: series (truncated q-series arithmetic), cylindric (definitions
-and the enumeration oracle), slices (slice calculus and flow graphs), genfun
+Modules: series (truncated q-series arithmetic), cylindric (definitions and
+the enumeration oracle), slices (slice calculus and flow graphs), genfun
 (closed-form products, chain DP, identity catalog), lemmas (telescoping sum
-identities), cli (command-line front end).
+identities), record (the base class of the immutable records), cli
+(command-line front end).
 """
 
 from .cylindric import CylindricPartition, Profile

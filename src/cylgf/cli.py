@@ -129,8 +129,7 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
         work["identities"] += 1
         bad = first_mismatch(*genfun.catalog_sides(tag, order, z_power))
     name = tag if z_power is None else f"{tag}(z=q^{z_power})"
-    status = ("PASS" if bad is None
-              else f"FAIL@q^{bad.degree} lhs={bad.lhs} rhs={bad.rhs}")
+    status = "PASS" if bad is None else "FAIL@q^{} lhs={} rhs={}".format(*bad)
     lines.append(f"{name},order={order},{status}")
     return bad is None
 
@@ -138,7 +137,7 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
 def _lemma_line(spec, order: int, lines: list[str]) -> bool:
     """Check one spec of the --all grid and append its line."""
     bad = lemmas.verify_lemma(spec, order)
-    status = "PASS" if bad is None else f"FAIL@q^{bad.degree}"
+    status = "PASS" if bad is None else f"FAIL@q^{bad[0]}"
     k = "-" if spec.fixed_k is None else spec.fixed_k
     m_vec = "+".join(map(str, spec.blocks))
     lines.append(f"{spec.family},{len(spec.blocks)},{m_vec},{k},{order},"

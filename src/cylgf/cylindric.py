@@ -12,7 +12,6 @@ from __future__ import annotations
 from operator import lt
 
 from .record import Record
-from .series import Series
 
 
 class ProfileError(ValueError):
@@ -91,10 +90,6 @@ class Profile(Record):
         if not (1 <= i and j <= self.rank):
             raise IndexError(f"s({i},{j}) out of range for rank {self.rank}")
         return sum(self.parts[i - 1 : j])
-
-    def cyclic_shift(self) -> Profile:
-        """S(c) = (c_2, ..., c_r, c_1)."""
-        return Profile(self.parts[1:] + self.parts[:1])
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.parts) + ")"
@@ -242,10 +237,6 @@ class RefinedTable(Record):
 
     def __hash__(self):
         return hash((self.profile, self.order, self.counts))
-
-    def marginal(self) -> Series:
-        """Coefficients of F_c(1, q) up to the order."""
-        return Series.from_coeffs(map(sum, zip(*self.counts)))
 
     def to_csv(self) -> str:
         lines = ["max,size,count"]

@@ -10,8 +10,6 @@
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 from .cylindric import Profile
 from .record import Record
 from .series import PochSpec, Series, pochhammer, product_expr
@@ -187,37 +185,29 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
 # --- identity catalog ------------------------------------------------------
 # A row of _CATALOG is (sum or None, lhs numerator, lhs denominator, rhs
 # denominator), a product (sign, start, step) being PochSpec(sign, start,
-# step).  A sum family (sign, start, step, offset) is PochSpec(sign, start,
-# step, n + offset) in term n, so term n is term n - 1 shifted by degree(n) -
-# degree(n - 1) and times one factor of exponent start + (n + offset - 1)*step.
+# step), and a sum the keyword arguments of _sum_series.  A sum family
+# (sign, start, step, offset) is PochSpec(sign, start, step, n + offset) in
+# term n, so term n is term n - 1 shifted by degree(n) - degree(n - 1) and
+# times one factor of exponent start + (n + offset - 1)*step.
 
 
-class CatalogSum(NamedTuple):
-    """lead + sum_{n >= first} coeff q^degree(n) prod num / prod den."""
-
-    degree: Callable[[int], int]
-    num: tuple = ()
-    den: tuple = ()
-    first: int = 0
-    coeff: int = 1
-    lead: int = 0
-
-
-def _sum_series(s: CatalogSum, order: int) -> Series:
-    """The sum up to its first term of degree past the order (degree
-    increases): term `first` whole, then one `times` pass per term."""
+def _sum_series(order: int, degree, num=(), den=(), first=0, coeff=1,
+                lead=0) -> Series:
+    """lead + sum_{n >= first} coeff q^degree(n) prod num / prod den, up to
+    its first term of degree past the order (degree increases): term
+    `first` whole, then one `times` pass per term."""
     def factors(n, new):
         return [[PochSpec(g, a + (n + off - 1) * k, k, 1) if new
                  else PochSpec(g, a, k, n + off) for g, a, k, off in fams]
-                for fams in (s.num, s.den)]
+                for fams in (num, den)]
 
-    acc = Series.monomial(0, order, s.lead)
-    n, deg = s.first, s.degree(s.first)
-    term = Series.monomial(deg, order, s.coeff).times(*factors(n, False))
+    acc = Series.monomial(0, order, lead)
+    n, deg = first, degree(first)
+    term = Series.monomial(deg, order, coeff).times(*factors(n, False))
     while deg <= order:
         acc = acc + term
         n += 1
-        shift, deg = s.degree(n) - deg, s.degree(n)
+        shift, deg = degree(n) - deg, degree(n)
         if deg <= order:
             coeffs = (0,) * shift + term.coeffs[:order + 1 - shift]
             term = Series(order, coeffs).times(*factors(n, True))
@@ -225,24 +215,24 @@ def _sum_series(s: CatalogSum, order: int) -> Series:
 
 
 # the auxiliary sums, also the sums of 1.4 and 1.5
-_A1 = CatalogSum(lambda n: n * n, den=((1, 4, 4, 0),))
-_A2 = CatalogSum(lambda n: n * n + 2 * n, den=((1, 4, 4, 0),))
+_A1 = dict(degree=lambda n: n * n, den=((1, 4, 4, 0),))
+_A2 = dict(degree=lambda n: n * n + 2 * n, den=((1, 4, 4, 0),))
 _CATALOG = {
     "1.2": (None, ((-1, 1, 2),), ((1, 1, 1),),
             ((1, 4, 4), (1, 1, 4), (1, 1, 4), (1, 3, 4), (1, 3, 4))),
     "1.3": (None, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 2, 4))),
     "1.4": (_A1, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 1, 5), (1, 4, 5))),
     "1.5": (_A2, ((-1, 2, 2),), ((1, 1, 1),), ((1, 1, 1), (1, 2, 5), (1, 3, 5))),
-    "1.6": (CatalogSum(lambda n: n * (n + 1), num=((-1, 2, 2, 0),),
-                       den=((-1, 3, 2, 0), (1, 2, 2, 0))), ((-1, 3, 2),),
+    "1.6": (dict(degree=lambda n: n * (n + 1), num=((-1, 2, 2, 0),),
+                 den=((-1, 3, 2, 0), (1, 2, 2, 0))), ((-1, 3, 2),),
             ((1, 1, 1),), ((1, 1, 1), (1, 2, 6), (1, 3, 6), (1, 4, 6))),
     # 1 + 2 sum_{n >= 1}: term 0 would hold (-q^2; q^2)_{-1} = 1/2
-    "1.7": (CatalogSum(lambda n: n * (n + 1), num=((-1, 2, 2, -1),),
-                       den=((1, 2, 2, 0), (-1, 1, 2, 0)), first=1, coeff=2,
-                       lead=1), ((-1, 1, 2),), ((1, 1, 1),),
+    "1.7": (dict(degree=lambda n: n * (n + 1), num=((-1, 2, 2, -1),),
+                 den=((1, 2, 2, 0), (-1, 1, 2, 0)), first=1, coeff=2,
+                 lead=1), ((-1, 1, 2),), ((1, 1, 1),),
             ((1, 6, 6), (1, 1, 6), (1, 1, 6), (1, 2, 6), (1, 2, 6),
              (1, 4, 6), (1, 4, 6), (1, 5, 6), (1, 5, 6))),
-    "1.8": (CatalogSum(lambda n: n * n, den=((1, 2, 2, 0),)), ((-1, 2, 2),),
+    "1.8": (dict(degree=lambda n: n * n, den=((1, 2, 2, 0),)), ((-1, 2, 2),),
             ((1, 1, 1),), ((1, 1, 1), (1, 1, 6), (1, 3, 6), (1, 5, 6))),
     "A1": (_A1, (), (), ((-1, 2, 2), (1, 1, 5), (1, 4, 5))),
     "A2": (_A2, (), (), ((-1, 2, 2), (1, 2, 5), (1, 3, 5))),
@@ -256,14 +246,15 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
         j = z_power
         if j is None or j < 1:
             raise UnknownIdentityError("gasper needs z_power >= 1")
-        s = CatalogSum(lambda n: n * (n - 1) // 2 + j * n, den=((1, 1, 1, 0),))
-        return _sum_series(s, order), pochhammer(PochSpec(-1, j, 1), order)
+        return (_sum_series(order, lambda n: n * (n - 1) // 2 + j * n,
+                            den=((1, 1, 1, 0),)),
+                pochhammer(PochSpec(-1, j, 1), order))
     if tag not in _CATALOG:
         raise UnknownIdentityError(f"unknown identity tag {tag!r}")
     total, num, den, rhs = _CATALOG[tag]
     num, den = [PochSpec(*f) for f in num], [PochSpec(*f) for f in den]
     lhs = (product_expr(num, den, order) if total is None
-           else _sum_series(total, order).times(num, den))
+           else _sum_series(order, **total).times(num, den))
     return lhs, product_expr([], [PochSpec(*f) for f in rhs], order)
 
 
@@ -284,12 +275,3 @@ PROFILE_IDENTITIES = {
     (3, 1): "1.8",
     (1, 1, 0, 0): "1.8",
 }
-
-#: profiles sharing one generating function under rank-level duality
-DUALITY_PAIRS = (
-    ((2, 1), (1, 1, 0)),
-    ((3, 0), (2, 0, 0)),
-    ((4, 0), (2, 0, 0, 0)),
-    ((2, 2), (1, 0, 1, 0)),
-    ((3, 1), (1, 1, 0, 0)),
-)

@@ -191,7 +191,8 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
 
 
 def verify_lemma(spec: NestedSumSpec, order: int):
-    """None on success, else the Mismatch of sum (lhs) and closed form (rhs).
+    """None on success, else (degree, lhs, rhs) at the first degree where
+    the sum (lhs) and the closed form (rhs) differ.
 
     Both sides carry the same 2^h, which changes neither their equality nor
     the first degree where they differ; only the two values of a mismatch
@@ -202,9 +203,9 @@ def verify_lemma(spec: NestedSumSpec, order: int):
         return bad
     from fractions import Fraction
 
+    degree, lhs, rhs = bad
     scale = 2 ** spec.halves
-    return bad._replace(lhs=Fraction(bad.lhs, scale),
-                        rhs=Fraction(bad.rhs, scale))
+    return degree, Fraction(lhs, scale), Fraction(rhs, scale)
 
 
 def grid(n_max: int, m_max: int, k_max: int):

@@ -22,12 +22,12 @@ Series.times multiplies an arbitrary series by a few factors, with one
 in-place pass per factor.  The general ring operations `*` and `invert`
 are on no product path of the package: they stay as the slow reference
 the tests compare both kernels against, and the benchmark's tracer wraps
-them by name.
+them by name.  `first_mismatch` reports where two series first differ as a
+plain (degree, lhs, rhs) tuple.
 """
 from __future__ import annotations
 
 from operator import add, mul
-from typing import NamedTuple
 
 from .record import Record
 
@@ -83,10 +83,6 @@ class Series(Record):
     @classmethod
     def zero(cls, order: int) -> Series:
         return cls(order, (0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> Series:
-        return cls(order, (1,) + (0,) * order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coeff: int = 1) -> Series:
@@ -186,20 +182,13 @@ class Series(Record):
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
 
-class Mismatch(NamedTuple):
-    """The earliest degree where two series differ, and both values there."""
-
-    degree: int
-    lhs: int
-    rhs: int
-
-
-def first_mismatch(a: Series, b: Series) -> Mismatch | None:
-    """Earliest degree where the two series differ, or None if equal."""
+def first_mismatch(a: Series, b: Series) -> tuple[int, int, int] | None:
+    """(degree, lhs, rhs) at the earliest degree where the two series
+    differ, or None if they are equal."""
     a._check_order(b)
     for n, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
         if ca != cb:
-            return Mismatch(n, ca, cb)
+            return n, ca, cb
     return None
 
 

@@ -9,7 +9,7 @@ describe slices and their containment that way, for the chain DP.
 """
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .cylindric import CylindricPartition, Profile
@@ -17,7 +17,7 @@ from .record import Record
 
 
 class SliceError(ValueError):
-    """Invalid slice, profile mismatch, or broken containment chain."""
+    """Invalid slice, profile mismatch, or a max_weight below 1."""
 
 
 def baseline(profile: Profile) -> tuple[int, ...]:
@@ -28,8 +28,8 @@ def baseline(profile: Profile) -> tuple[int, ...]:
     (2,0,0,0) -> (2,2,2,2).
     """
     c = profile.parts
-    r = profile.rank
-    return tuple(c[0] + sum(c[i + 1 :]) for i in range(r))
+    # b_r = c_1 and b_i = b_{i+1} + c_{i+1}: suffix sums, linear in the rank
+    return tuple(accumulate(reversed(c[1:]), initial=c[0]))[::-1]
 
 
 class Slice(Record):
@@ -81,7 +81,10 @@ def shape(s: Slice) -> tuple[int, ...]:
 
 
 def contains(inner: Slice, outer: Slice) -> bool:
-    """True iff every white square of inner is also in outer (per-row <=)."""
+    """True iff every white square of inner is also in outer (per-row <=).
+
+    Only bench/tracer.py, which wraps it by name, keeps it in the package,
+    until ROADMAP item 1."""
     if inner.profile != outer.profile:
         raise SliceError("profile mismatch")
     return all(a <= b for a, b in zip(inner.white, outer.white))
@@ -98,28 +101,6 @@ def decompose(cp: CylindricPartition) -> list[Slice]:
         white = tuple(sum(1 for p in row if p >= k) for row in cp.rows)
         out.append(Slice(cp.profile, white))
     return out
-
-
-def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
-    """Inverse of decompose: part j of row i counts levels with t_i >= j.
-
-    No levels give the empty partition of the profile.
-    """
-    for k, s in enumerate(levels):
-        if s.profile != profile:
-            raise SliceError("profile mismatch among levels")
-        if k + 1 < len(levels) and not contains(levels[k + 1], s):
-            raise SliceError(
-                f"level {k + 2} slice {levels[k + 1].white} is not contained "
-                f"in level {k + 1} slice {s.white}"
-            )
-    rows = []
-    for i in range(profile.rank):
-        depth = max((s.white[i] for s in levels), default=0)
-        rows.append(tuple(
-            sum(1 for s in levels if s.white[i] >= j) for j in range(1, depth + 1)
-        ))
-    return CylindricPartition(profile, tuple(rows))
 
 
 def iter_slices(profile: Profile, max_weight: int):
@@ -153,11 +134,6 @@ def iter_slices(profile: Profile, max_weight: int):
                 break
             t[i] += 1
             t[-1] = room - 1
-
-
-def shape_count(profile: Profile) -> int:
-    """binom(level + rank - 1, rank - 1), the number of realizable shapes."""
-    return comb(profile.level + profile.rank - 1, profile.rank - 1)
 
 
 def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
@@ -197,7 +173,8 @@ def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:
 
     The slice (sigma, L) of least weight has the shape's floor L
     (`shape_floors`); the all-gray shape's adds one white square to every
-    row.
+    row.  Only bench/tracer.py, which wraps it by name, keeps it in the
+    package, until ROADMAP item 1.
     """
     b = baseline(profile)
     return {sh: Slice(profile, tuple(s + low - x for s, x in zip(sh + (0,), b)))
@@ -258,19 +235,26 @@ class SliceFlow(Record):
 
 
 def flow_graph(profile: Profile, max_weight: int) -> SliceFlow:
-    """Nodes sorted by (weight, white tuple); edges add one white square."""
+    """Nodes sorted by (weight, white tuple); edges add one white square.
+
+    One more square in row i of a node t below max_weight gives a node iff
+    t_i < t_{i-1} + c_i, cyclically: no other inequality gets tighter.  Only
+    a real edge builds its target, looked up by white tuple (KeyError if
+    the rule were wrong).
+    """
     if max_weight < 1:
         raise SliceError("max_weight must be >= 1")
     nodes = list(iter_slices(profile, max_weight))
-    node_set = set(nodes)
+    by_white = {u.white: u for u in nodes}
+    c = profile.parts
     edges = []
     for u in nodes:
-        for i in range(profile.rank):
-            t = list(u.white)
-            t[i] += 1
-            v = Slice(profile, tuple(t))
-            if v in node_set:
-                edges.append((u, v))
+        t = u.white
+        if u.weight < max_weight:
+            for i in range(profile.rank):
+                if t[i] < t[i - 1] + c[i]:
+                    v = by_white[t[:i] + (t[i] + 1,) + t[i + 1:]]
+                    edges.append((u, v))
     return SliceFlow(profile, max_weight, tuple(nodes), tuple(edges))
 
 

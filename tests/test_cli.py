@@ -7,6 +7,7 @@ import subprocess
 import sys
 from importlib.resources import files
 from itertools import cycle, islice
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from cylgf import genfun, lemmas
 from cylgf.cli import build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.series import NotAUnitError, Series
-from cylgf.slices import iter_slices, shape_count
+from cylgf.slices import iter_slices
 
 
 def run(capsys, *argv):
@@ -190,10 +191,11 @@ class TestVerify:
         assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
 
     def test_start_up_loads_no_dataclasses_inspect_or_string(self):
-        # the records are slotted classes: neither the import and the full
-        # parser nor a run of each command loads dataclasses (which brings
-        # inspect) or string; only modules new since the start are counted,
-        # so whatever site loads does not matter
+        # the records are slotted classes and the package uses no typing:
+        # neither the import and the full parser nor a run of each command
+        # loads dataclasses (which brings inspect), string or typing.  Only
+        # modules new since the start are counted, and -S keeps site and
+        # the packages it imports from loading typing first
         src = str(Path(cylgf.__file__).resolve().parent.parent)
         argvs = [
             ["expand", "--profile", "2,1", "--order", "6", "--method", "chain"],
@@ -203,13 +205,14 @@ class TestVerify:
             ["decompose", "--json", TestDecompose.PART, "--boards"],
         ]
         proc = subprocess.run(
-            [sys.executable, "-c",
+            [sys.executable, "-S", "-c",
              "import json, sys; before = set(sys.modules); "
              "sys.path.insert(0, sys.argv[1]); "
              "import cylgf.cli; cylgf.cli.build_parser(); "
              "codes = [cylgf.cli.main(a) for a in json.loads(sys.argv[2])]; "
              "new = set(sys.modules) - before; "
-             "print(codes, sorted({'dataclasses', 'inspect', 'string'} & new))",
+             "print(codes, sorted({'dataclasses', 'inspect', 'string', "
+             "'typing'} & new))",
              src, json.dumps(argvs)],
             capture_output=True, text=True, timeout=60)
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []", proc.stderr
@@ -476,7 +479,8 @@ class TestVerbose:
                                      "slot_bits"}
             assert counters["nodes"] == len(list(
                 iter_slices(Profile((2, 1)), 12)))
-            assert counters["shapes"] == shape_count(Profile((2, 1)))
+            # C(level + rank - 1, rank - 1) shapes, level 3 and rank 2
+            assert counters["shapes"] == comb(3 + 2 - 1, 2 - 1)
             assert (0 < counters["shape_pairs"]
                     <= counters["nodes"] * counters["shapes"])
 
@@ -543,6 +547,12 @@ class TestHugeLevel:
                       "--max-weight", "1"],
                      'digraph sliceflow {\n  n0 [label="bq^1"];\n}\n',
                      id="flow-rank-1500"),
+        # 99,999 bytes of argv, under the 128 KiB limit for one argument;
+        # the graph is built in time linear in the rank
+        pytest.param(["flow", "--profile", ",".join(["1"] + ["0"] * 49999),
+                      "--max-weight", "1"],
+                     'digraph sliceflow {\n  n0 [label="bq^1"];\n}\n',
+                     id="flow-rank-50000"),
         pytest.param(["verify", "--id", MANY_BLOCKS, "--order", "10"],
                      f"{MANY_BLOCKS},order=10,PASS\n",
                      id="verify-20000-lemma-blocks"),

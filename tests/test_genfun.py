@@ -1,4 +1,5 @@
 """Tests for the product formula, the chain DP, and the identity catalog."""
+import itertools
 import json
 from collections import Counter
 from importlib.resources import files
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from cylgf import genfun, lemmas
 from cylgf.cli import _verify_one, main
 from cylgf.cylindric import Profile, enumerate_table
-from cylgf.genfun import (DUALITY_PAIRS, FormulaError, PROFILE_IDENTITIES,
+from cylgf.genfun import (FormulaError, PROFILE_IDENTITIES,
                           UnknownIdentityError, borodin, borodin_specs,
                           catalog_sides, chain_series)
 from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
-from cylgf.series import (Mismatch, PochSpec, Series, first_mismatch,
-                          pochhammer, product_expr)
+from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
+                          product_expr)
 from cylgf.slices import contains, iter_slices
+from reference import DUALITY_PAIRS
 
 # the profile orbits and top orders of the chain-dp benchmark workload
 CHAIN_ORBITS = [((1, 1), 50), ((2, 1), 40), ((1, 0, 1), 34), ((1, 1, 1), 28),
@@ -44,7 +46,7 @@ def scan_chain_table(profile, order, distinct=False):
     shift at a time.  Same packed (z, q) tables; returns the table and the
     number of slices."""
     n, side = order, order + 1
-    bound = Series.one(n).times((), [PochSpec(1, 1, 1)] * profile.rank)
+    bound = Series.monomial(0, n).times((), [PochSpec(1, 1, 1)] * profile.rank)
     bits = bound.coeffs[n].bit_length()
     mask = (1 << (side * side * bits)) - 1
     nodes = list(iter_slices(profile, n))
@@ -96,7 +98,8 @@ class TestBorodin:
     def test_matches_enumeration(self):
         for parts in [(1, 1), (2, 1), (1, 1, 1), (3, 0)]:
             profile = Profile(parts)
-            marg = enumerate_table(profile, 8).marginal()
+            counts = enumerate_table(profile, 8).counts
+            marg = Series.from_coeffs(map(sum, zip(*counts)))
             assert borodin(profile, 8) == marg, parts
 
     def test_counting_series_is_integral(self):
@@ -116,7 +119,8 @@ class TestChainSeries:
     def test_matches_enumeration(self):
         for parts in [(1, 1), (2, 0), (2, 1)]:
             profile = Profile(parts)
-            marg = enumerate_table(profile, 9).marginal()
+            counts = enumerate_table(profile, 9).counts
+            marg = Series.from_coeffs(map(sum, zip(*counts)))
             assert chain_series(profile, 9).marginal() == marg, parts
 
     def test_order_zero(self):
@@ -139,7 +143,7 @@ class TestChainSeries:
 
     def test_distinct_profile_1_1(self):
         n = 20
-        acc = Series.one(n)
+        acc = Series.monomial(0, n)
         k = 0
         while 2 * k + 1 <= n:
             f = [0] * (n + 1)
@@ -193,6 +197,26 @@ class TestChainSeries:
             assert chain_series(profile, order + 1, distinct).table == table, \
                 profile
 
+    def test_duality_pairs_have_equal_refined_tables(self):
+        # the dual profiles share F_c(z, q), not only F_c(1, q)
+        for a, b in DUALITY_PAIRS:
+            assert (chain_series(Profile(a), 40).table
+                    == chain_series(Profile(b), 40).table), (a, b)
+
+    def test_rotation_preserves_refined_tables(self):
+        # F_c(z, q) is invariant under rotating the profile, for all 44
+        # profiles of these (rank, level)
+        seen = 0
+        for rank, level in [(2, 3), (3, 3), (4, 2), (2, 4), (3, 4)]:
+            for parts in itertools.product(range(level + 1), repeat=rank):
+                if sum(parts) != level:
+                    continue
+                seen += 1
+                turned = Profile(parts[1:] + parts[:1])
+                assert (chain_series(Profile(parts), 30).table
+                        == chain_series(turned, 30).table), parts
+        assert seen == 44
+
     @pytest.mark.parametrize("parts", [parts for parts, _ in CHAIN_ORBITS])
     def test_distinct_equals_list_dp(self, parts):
         profile = Profile(parts)
@@ -212,7 +236,8 @@ def order_cases(key, degrees, top):
 class TestCatalog:
     def test_profile_1_1_equals_enumeration(self):
         lhs, rhs = catalog_sides("1.2", 4)
-        marg = enumerate_table(Profile((1, 1)), 4).marginal()
+        counts = enumerate_table(Profile((1, 1)), 4).counts
+        marg = Series.from_coeffs(map(sum, zip(*counts)))
         assert lhs == rhs == marg
         assert lhs.coeffs == (1, 2, 3, 6, 10)
 
@@ -261,7 +286,7 @@ class TestCatalog:
         # wrapper of that name sees every catalog check
         a = Series.from_coeffs([1, 1])
         b = Series.from_coeffs([1, 2])
-        assert first_mismatch(a, b) == Mismatch(1, 1, 2)
+        assert first_mismatch(a, b) == (1, 1, 2)
         monkeypatch.setattr(genfun, "catalog_sides",
                             lambda tag, order, z_power=None: (a, b))
         assert main(["verify", "--id", "1.2", "--order", "1"]) == 1

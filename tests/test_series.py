@@ -10,9 +10,9 @@ from cylgf import genfun, series
 from cylgf.cylindric import Profile
 from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
 from cylgf.lemmas import _ratio
-from cylgf.series import (Mismatch, NotAUnitError, OrderMismatchError,
-                          PochSpec, PochSpecError, Series, UNBOUNDED,
-                          first_mismatch, pochhammer, product_expr)
+from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpec,
+                          PochSpecError, Series, UNBOUNDED, first_mismatch,
+                          pochhammer, product_expr)
 
 
 def partition_counts(n_max):
@@ -67,7 +67,7 @@ class TestRingLaws:
     @given(series_triples(), st.sampled_from([1, -1]))
     def test_unit_times_inverse_is_one(self, abc, c0):
         a = Series.from_coeffs((c0,) + abc[0].coeffs[1:])
-        assert a * a.invert() == Series.one(a.order)
+        assert a * a.invert() == Series.monomial(0, a.order)
 
 
 class TestArithmetic:
@@ -93,7 +93,7 @@ class TestArithmetic:
 
     def test_mul_by_one_is_identity(self):
         s = Series.from_coeffs([2, 0, -3, 7])
-        assert s * Series.one(3) == s
+        assert s * Series.monomial(0, 3) == s
 
     def test_convolution_example(self):
         a = Series.from_coeffs([1, 1, 0, 1, 1, 1])
@@ -102,9 +102,9 @@ class TestArithmetic:
 
     def test_order_mismatch_raises(self):
         with pytest.raises(OrderMismatchError):
-            Series.one(2) + Series.one(3)
+            Series.monomial(0, 2) + Series.monomial(0, 3)
         with pytest.raises(OrderMismatchError):
-            Series.one(2) * Series.one(3)
+            Series.monomial(0, 2) * Series.monomial(0, 3)
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(20240817)
@@ -122,7 +122,7 @@ class TestInvert:
         assert s.invert().coeffs == (1, 1, 1, 1, 1)
 
     def test_invert_one(self):
-        assert Series.one(4).invert() == Series.one(4)
+        assert Series.monomial(0, 4).invert() == Series.monomial(0, 4)
 
     def test_partition_function(self):
         p = pochhammer(PochSpec(1, 1, 1), 8).invert()
@@ -133,8 +133,8 @@ class TestInvert:
         rng = random.Random(99)
         for _ in range(30):
             s = rand_series(rng, rng.randint(0, 10), unit=True)
-            assert s * s.invert() == Series.one(s.order)
-            assert s.invert() * s == Series.one(s.order)
+            assert s * s.invert() == Series.monomial(0, s.order)
+            assert s.invert() * s == Series.monomial(0, s.order)
 
     def test_rational_leading_coefficient(self):
         # over the integers only 1 and -1 are units: 1/(2 + q) is not integral
@@ -148,7 +148,8 @@ class TestInvert:
 
 class TestPochhammer:
     def test_empty_product(self):
-        assert pochhammer(PochSpec(1, 1, 1, count=0), 5) == Series.one(5)
+        empty = pochhammer(PochSpec(1, 1, 1, count=0), 5)
+        assert empty == Series.monomial(0, 5)
 
     def test_single_factor(self):
         assert pochhammer(PochSpec(1, 1, 1, count=1), 3).coeffs == (1, -1, 0, 0)
@@ -195,7 +196,7 @@ class TestPochhammer:
 
 class TestProductExpr:
     def test_empty_is_one(self):
-        assert product_expr([], [], 6) == Series.one(6)
+        assert product_expr([], [], 6) == Series.monomial(0, 6)
 
     def test_partition_function(self):
         p = product_expr([], [PochSpec(1, 1, 1)], 8)
@@ -239,7 +240,7 @@ def slow_product(numerator, denominator, order):
             yield factor_series(spec.sign, e, order)
             k += 1
 
-    num = den = Series.one(order)
+    num = den = Series.monomial(0, order)
     for spec in numerator:
         for f in factors(spec):
             num = num * f
@@ -287,7 +288,7 @@ class TestTimes:
 
     def test_pochhammer_is_times_on_one(self):
         spec = PochSpec(-1, 2, 3)
-        assert pochhammer(spec, 9) == Series.one(9).times([spec])
+        assert pochhammer(spec, 9) == Series.monomial(0, 9).times([spec])
         assert pochhammer(spec, 9) == slow_product([spec], [], 9)
 
 
@@ -299,8 +300,8 @@ class TestRecurrence:
         from test_cylindric import all_profiles
         for profile in all_profiles(7):
             den = borodin_specs(profile)
-            assert product_expr([], den, 200) == Series.one(200).times((), den), \
-                profile
+            one = Series.monomial(0, 200)
+            assert product_expr([], den, 200) == one.times((), den), profile
 
     def test_catalog_products(self, monkeypatch):
         # every product_expr and pochhammer call of the catalog: the
@@ -321,7 +322,8 @@ class TestRecurrence:
             catalog_sides("gasper", 300, j)
         assert len(calls) == len(IDENTITY_TAGS) + 2 + 3
         for num, den, got in calls:
-            assert got == Series.one(got.order).times(num, den), (num, den)
+            one = Series.monomial(0, got.order)
+            assert got == one.times(num, den), (num, den)
 
     def test_matches_times_randomized(self):
         rng = random.Random(8080)
@@ -332,7 +334,7 @@ class TestRecurrence:
                    for _ in range(rng.randint(0, 4))]
             den = [rand_spec(rng, order, 12, 12)
                    for _ in range(rng.randint(0, 4))]
-            expected = Series.one(order).times(num, den)
+            expected = Series.monomial(0, order).times(num, den)
             got = product_expr(num, den, order)
             assert got == expected, (num, den, order)
             assert all(type(c) is int for c in got.coeffs)
@@ -377,7 +379,7 @@ def caught(order):
         except (ValueError, OverflowError):
             wrong += 1
         else:
-            wrong += got != Series.one(order).times(num, den)
+            wrong += got != Series.monomial(0, order).times(num, den)
     return wrong
 
 
@@ -392,7 +394,7 @@ class TestPacked:
         monkeypatch.setattr(series, "_CUT", cut)
         for num, den in PACKED_CASES:
             got = product_expr(num, den, order)
-            assert got == Series.one(order).times(num, den), (num, den)
+            assert got == Series.monomial(0, order).times(num, den), (num, den)
             assert all(type(c) is int for c in got.coeffs)
 
     def test_slot_one_byte_short_is_caught(self, monkeypatch):
@@ -418,8 +420,7 @@ class TestMisc:
         a = Series.from_coeffs([1, 1, 3])
         b = Series.from_coeffs([1, 2, 3])
         bad = first_mismatch(a, b)
-        assert bad == (1, 1, 2) == Mismatch(1, 1, 2)
-        assert (bad.degree, bad.lhs, bad.rhs) == (1, 1, 2)
+        assert bad == (1, 1, 2) and type(bad) is tuple
         assert first_mismatch(a, a) is None
 
     def test_str(self):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
                           decompose, flow_graph, iter_slices, min_slices,
-                          recompose, shape, shape_count, shape_difference,
-                          shape_floors, shape_name)
+                          shape, shape_difference, shape_floors, shape_name)
+from reference import recompose
 from test_cylindric import all_profiles
 
 
@@ -177,16 +177,15 @@ class TestMinSlices:
     def test_count(self):
         for profile in all_profiles(7):
             ms = min_slices(profile)
-            assert len(ms) == shape_count(profile)
-            assert shape_count(profile) == comb(
-                profile.level + profile.rank - 1, profile.rank - 1)
+            assert len(ms) == comb(profile.level + profile.rank - 1,
+                                   profile.rank - 1)
 
     def test_stops_at_last_shape(self):
         # the scan bound is rank*level + rank = 64 here; enumerating every
         # tuple up to it would take about 10^10 candidates
         profile = Profile((2, 1, 0, 3, 0, 0, 1, 0))
         ms = min_slices(profile)
-        assert len(ms) == shape_count(profile) == 3432
+        assert len(ms) == comb(profile.level + 7, 7) == 3432
         assert ms[shape(Slice(profile, (0,) * 8))].white == (1,) * 8
 
     @staticmethod
@@ -197,7 +196,7 @@ class TestMinSlices:
         r = profile.rank
         for s in iter_slices(profile, r * profile.level + r):
             out.setdefault(shape(s), s)
-            if len(out) == shape_count(profile):
+            if len(out) == comb(profile.level + r - 1, r - 1):
                 break
         return out
 
@@ -207,7 +206,8 @@ class TestMinSlices:
         profile = Profile(tuple(parts))
         scan = self.scan_min_slices(profile)
         floors = shape_floors(profile)
-        assert len(floors) == shape_count(profile)
+        assert len(floors) == comb(profile.level + profile.rank - 1,
+                                   profile.rank - 1)
         last = baseline(profile)[-1]
         assert floors == {sh: last + s.white[-1] for sh, s in scan.items()}
         assert min_slices(profile) == scan
@@ -247,7 +247,7 @@ class TestCensus:
             by_shape = {}
             for s in iter_slices(profile, bound):
                 by_shape.setdefault(shape(s), []).append(s.weight)
-            assert len(by_shape) == shape_count(profile), profile
+            assert len(by_shape) == comb(profile.level + r - 1, r - 1), profile
             for sh, weights in by_shape.items():
                 weights.sort()
                 assert len({w % r for w in weights}) == 1, (profile, sh)
@@ -284,6 +284,25 @@ class TestFlowGraph:
         for u, v in g.edges:
             assert v.weight == u.weight + 1
             assert sum(abs(a - b) for a, b in zip(u.white, v.white)) == 1
+
+    def test_edges_are_all_one_square_pairs(self):
+        # flow_graph tests one inequality per row; a brute force over all
+        # node pairs, for every profile of rank 1-5 and level <= 3 (zero
+        # parts included), finds the same edges
+        for rank in range(1, 6):
+            for parts in itertools.product(range(4), repeat=rank):
+                if not 1 <= sum(parts) <= 3:
+                    continue
+                g = flow_graph(Profile(parts), 6)
+                by_weight = {}
+                for s in g.nodes:
+                    by_weight.setdefault(s.weight, []).append(s.white)
+                pairs = {(u, v) for w, low in by_weight.items()
+                         for u in low for v in by_weight.get(w + 1, ())
+                         if all(a <= b for a, b in zip(u, v))}
+                edges = [(u.white, v.white) for u, v in g.edges]
+                assert len(edges) == len(pairs), parts
+                assert set(edges) == pairs, parts
 
     def test_containment_matches_reachability(self):
         # strict containment between slices of different weight coincides
