@@ -63,14 +63,6 @@ class Profile(Record):
             raise ProfileError("the all-zero profile (level 0) is rejected")
         object.__setattr__(self, "parts", parts)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
     @property
     def rank(self) -> int:
         return len(self.parts)
@@ -107,14 +99,6 @@ class CylindricPartition(Record):
     def __init__(self, profile: Profile, rows: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.rows) == (other.profile, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.rows))
 
     @property
     def size(self) -> int:
@@ -228,15 +212,6 @@ class RefinedTable(Record):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.profile, self.order, self.counts)
-                    == (other.profile, other.order, other.counts))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.order, self.counts))
 
     def to_csv(self) -> str:
         lines = ["max,size,count"]

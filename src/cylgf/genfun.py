@@ -67,6 +67,7 @@ class ChainGF(Record):
 
     __slots__ = ("profile", "order", "distinct", "table",
                  "nodes", "shapes", "shape_pairs", "slot_bits")
+    _compared = __slots__[:4]
 
     def __init__(self, profile: Profile, order: int, distinct: bool,
                  table: tuple[tuple[int, ...], ...], nodes: int = 0,
@@ -79,16 +80,6 @@ class ChainGF(Record):
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "shape_pairs", shape_pairs)
         object.__setattr__(self, "slot_bits", slot_bits)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.profile, self.order, self.distinct, self.table)
-                    == (other.profile, other.order, other.distinct,
-                        other.table))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.order, self.distinct, self.table))
 
     def marginal(self) -> Series:
         """Specialization z = 1."""

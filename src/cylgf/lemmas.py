@@ -65,15 +65,6 @@ class NestedSumSpec(Record):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "fixed_k", fixed_k)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.family, self.blocks, self.fixed_k)
-                    == (other.family, other.blocks, other.fixed_k))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.blocks, self.fixed_k))
-
     @property
     def offset(self) -> int:
         return _OFFSETS[self.family]

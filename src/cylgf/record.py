@@ -2,16 +2,30 @@
 
 A record names its fields in `__slots__`, and its `__init__` checks them and
 sets each one once with `object.__setattr__`; assigning or deleting a field
-afterwards raises AttributeError.  Each record writes its own `__eq__` and
-`__hash__` over the fields it compares, from plain attribute reads: slices
-and profiles are hashed and compared on the `flow` and `decompose` paths,
-where a key shared through this class (an `operator.attrgetter`, say) costs
-more per call.  Records of two classes are never equal.
+afterwards raises AttributeError.  `Record` compares and hashes the tuple of
+the compared fields, `_compared`: all of `__slots__` unless the class names
+fewer (`ChainGF` leaves out its four work counters).  Records of two classes
+are never equal.  No command compares or hashes a record, so these generic
+methods cost nothing on a command's path.
 """
 
 
 class Record:
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(

@@ -67,14 +67,6 @@ class Series(Record):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order, self.coeffs) == (other.order, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     @classmethod
     def from_coeffs(cls, coeffs) -> Series:
         coeffs = tuple(coeffs)
@@ -215,15 +207,6 @@ class PochSpec(Record):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "count", count)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.sign, self.start, self.step, self.count)
-                    == (other.sign, other.start, other.step, other.count))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sign, self.start, self.step, self.count))
 
     def exponents(self, order: int) -> range:
         """Exponents e of the factors with e <= order, all of them >= 1."""

@@ -48,14 +48,6 @@ class Slice(Record):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "white", white)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.white) == (other.profile, other.white)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.white))
-
     @property
     def weight(self) -> int:
         return sum(self.white)
@@ -190,9 +182,25 @@ def shape_name(sh: tuple[int, ...]) -> str:
     m = len(sh) - 1 - j with entries <= v; by the hockey-stick identity
     there are sum_{v < sh_j} C(v + m, m) = C(sh_j + m, m + 1) of them.  The
     rank does not depend on the level, and no shape but sh is visited.
+
+    Read from the last entry, the entries grow weakly.  A zero entry adds
+    C(m, m + 1) = 0.  After an entry p, the next term is built from the last
+    by exact multiply-and-divide steps, C(p + m - 1, m) -> C(p + m, m + 1)
+    -> ... -> C(s + m, m + 1), one small factor each; a jump s - p of more
+    than m + 1 (a huge level) takes a fresh `comb` of about m + 1 factors.
     """
-    k = sum(comb(s + m, m + 1)
-            for m, s in zip(range(len(sh) - 1, -1, -1), sh))
+    k = term = last = 0
+    for m, s in enumerate(reversed(sh)):
+        if not s:
+            continue
+        if term and s - last <= m + 1:
+            term = term * (last + m) // (m + 1)
+            for v in range(last, s):
+                term = term * (v + m + 1) // v
+        else:
+            term = comb(s + m, m + 1)
+        k += term
+        last = s
     return chr(ord("a") + k) if k < 26 else f"s{k}"
 
 
@@ -209,27 +217,20 @@ class SliceFlow(Record):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.profile, self.max_weight, self.nodes, self.edges)
-                    == (other.profile, other.max_weight, other.nodes,
-                        other.edges))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.max_weight, self.nodes, self.edges))
-
     def to_dot(self) -> str:
-        shapes = {s: shape(s) for s in self.nodes}
+        # the nodes share one profile, so a white tuple names one node
+        shapes = {s.white: shape(s) for s in self.nodes}
         # nodes in (weight, shape, white) order, edges by their ends' ranks
-        order = sorted(self.nodes, key=lambda s: (s.weight, shapes[s], s.white))
-        rank = {s: k for k, s in enumerate(order)}
+        order = sorted(self.nodes,
+                       key=lambda s: (s.weight, shapes[s.white], s.white))
+        rank = {s.white: k for k, s in enumerate(order)}
         lines = ["digraph sliceflow {"]
         for k, s in enumerate(order):
-            name = shape_name(shapes[s])
+            name = shape_name(shapes[s.white])
             lines.append(f'  n{k} [label="{name}q^{s.weight}"];')
-        for u, v in sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
-            lines.append(f"  n{rank[u]} -> n{rank[v]};")
+        for i, j in sorted((rank[u.white], rank[v.white])
+                           for u, v in self.edges):
+            lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

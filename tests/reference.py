@@ -1,9 +1,13 @@
 """Reference code that only the tests use.
 
-`recompose` inverts `slices.decompose` from the definition, and
+`recompose` inverts `slices.decompose` from the definition,
 `DUALITY_PAIRS` lists the profiles that share one generating function under
-rank-level duality; no command of the package needs either.
+rank-level duality, and `comb_shape_name` names a shape with one binomial
+per entry, as `slices.shape_name` did before it built each binomial from the
+one before; no command of the package needs any of them.
 """
+from math import comb
+
 from cylgf.cylindric import CylindricPartition, Profile
 from cylgf.slices import Slice, SliceError, contains
 
@@ -37,3 +41,11 @@ def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
             sum(1 for s in levels if s.white[i] >= j) for j in range(1, depth + 1)
         ))
     return CylindricPartition(profile, tuple(rows))
+
+
+def comb_shape_name(sh: tuple[int, ...]) -> str:
+    """`slices.shape_name` as the hockey-stick sum of C(sh_j + m, m + 1),
+    m the length of the tail after entry j."""
+    k = sum(comb(s + m, m + 1)
+            for m, s in zip(range(len(sh) - 1, -1, -1), sh))
+    return chr(ord("a") + k) if k < 26 else f"s{k}"

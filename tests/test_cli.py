@@ -18,6 +18,7 @@ import cylgf
 from cylgf import genfun, lemmas
 from cylgf.cli import build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
+from cylgf.record import Record
 from cylgf.series import NotAUnitError, Series
 from cylgf.slices import iter_slices
 
@@ -290,6 +291,35 @@ class TestDecompose:
         assert code == 2 and err.startswith("error:")
 
 
+class TestNoRecordKeys:
+    """No command compares or hashes a record, so `Record`'s generic
+    `__eq__` and `__hash__` are off every command's path."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a command compared or hashed a record")
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--profile", "2,1,1", "--order", "10",
+         "--method", "borodin"],
+        ["expand", "--profile", "2,1,1", "--order", "10", "--method", "chain"],
+        ["expand", "--profile", "2,1,1", "--order", "10",
+         "--method", "chain-distinct"],
+        ["count", "--profile", "2,1", "--order", "6"],
+        ["flow", "--profile", "1,1,1,1", "--max-weight", "5"],
+        ["verify", "--all", "--order", "12"],
+        ["verify", "--id", "1.4"],
+        ["verify", "--id", "L4.3(1,2)"],
+        ["decompose", "--json", TestDecompose.PART, "--boards"],
+    ], ids=" ".join)
+    def test_same_output_without_eq_and_hash(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(Record, "__eq__", self.refuse)
+        monkeypatch.setattr(Record, "__hash__", self.refuse)
+        assert run(capsys, *argv) == expected
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["expand", "--profile", "2,1", "--order", "-1", "--method", "chain"],
@@ -553,6 +583,18 @@ class TestHugeLevel:
                       "--max-weight", "1"],
                      'digraph sliceflow {\n  n0 [label="bq^1"];\n}\n',
                      id="flow-rank-50000"),
+        # shapes (10^8, 1) and (10^8 + 1, 2): a jump of 10^8 between two
+        # entries is named by one binomial, not 10^8 steps
+        pytest.param(["flow", "--profile", "0,100000000,1",
+                      "--max-weight", "2"],
+                     "digraph sliceflow {\n"
+                     '  n0 [label="s5000000050000000q^1"];\n'
+                     '  n1 [label="s5000000150000003q^1"];\n'
+                     '  n2 [label="s5000000050000001q^2"];\n'
+                     '  n3 [label="s5000000150000001q^2"];\n'
+                     '  n4 [label="s5000000150000004q^2"];\n'
+                     "  n0 -> n2;\n  n0 -> n3;\n  n1 -> n2;\n  n1 -> n4;\n}\n",
+                     id="flow-level-100000001"),
         pytest.param(["verify", "--id", MANY_BLOCKS, "--order", "10"],
                      f"{MANY_BLOCKS},order=10,PASS\n",
                      id="verify-20000-lemma-blocks"),

@@ -10,7 +10,7 @@ from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
 from cylgf.slices import (Slice, SliceError, baseline, board, contains,
                           decompose, flow_graph, iter_slices, min_slices,
                           shape, shape_difference, shape_floors, shape_name)
-from reference import recompose
+from reference import comb_shape_name, recompose
 from test_cylindric import all_profiles
 
 
@@ -354,6 +354,25 @@ class TestDisplay:
                 for k, sh in enumerate(shapes):
                     name = chr(ord("a") + k) if k < 26 else f"s{k}"
                     assert shape_name(sh) == name, (parts, sh)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=12))
+    def test_names_match_comb_sum_on_random_shapes(self, entries):
+        sh = tuple(sorted(entries, reverse=True))
+        assert shape_name(sh) == comb_shape_name(sh)
+
+    def test_names_match_comb_sum_on_census_shapes(self):
+        # every shape of every profile with rank + level <= 8
+        for profile in all_profiles(8):
+            for sh in shape_floors(profile):
+                assert shape_name(sh) == comb_shape_name(sh), (profile, sh)
+
+    def test_huge_jump_after_a_term(self):
+        # a jump of 10^14 from the entry before is one fresh binomial, not
+        # 10^14 steps
+        sh = (10 ** 14, 1)
+        name = f"s{comb(10 ** 14 + 1, 2) + 1}"
+        assert shape_name(sh) == comb_shape_name(sh) == name
 
     #: rank 2: d(sigma', sigma) by shape letter, row sigma' (the inner
     #: slice), column sigma (the outer), as printed in the README
