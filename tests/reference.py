@@ -2,9 +2,9 @@
 
 `recompose` inverts `slices.decompose` from the definition,
 `DUALITY_PAIRS` lists the profiles that share one generating function under
-rank-level duality, and `comb_shape_name` names a shape with one binomial
-per entry, as `slices.shape_name` did before it built each binomial from the
-one before; no command of the package needs any of them.
+rank-level duality, and `comb_shape_name` names a shape with one `comb` per
+entry, the reference for `slices.shape_name`; no command of the package
+needs any of them.
 """
 from math import comb
 
