@@ -12,13 +12,21 @@ byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
 command's work counters and time to stderr as one JSON object.  `verify`
 checks lemma tags in `lemmas`, other tags in `genfun`, and formats its lines.
+
+The option grammar is one table, `_COMMANDS`.  A plain argv (a command name,
+then exact option strings of that command, each value option followed by a
+value that does not start with "-", converts with its type and is one of its
+choices, every required option given) is read straight from the table, and
+`argparse` is not imported.  Any other argv (help, `--opt=value`,
+abbreviations, values such as `-1`, bad values, missing options) goes to
+`argparse`, the only source of help, usage and error text.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
@@ -40,11 +48,14 @@ def _parse_profile(text: str) -> Profile:
 
 
 def _int_at_least(low: int):
-    """argparse type for an integer option that must be >= low."""
+    """The type of an integer option that must be >= low; out of range it
+    raises argparse's ArgumentTypeError, whose text argparse prints."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            from argparse import ArgumentTypeError
+
+            raise ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -64,12 +75,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _report(args, counters: dict, start: float):
-    """With --verbose, the work counters and seconds as one JSON line on
+def _report(counters: dict, start: float):
+    """For --verbose: the work counters and seconds as one JSON line on
     stderr; stdout is not touched."""
-    if args.verbose:
-        counters["seconds"] = round(time.perf_counter() - start, 6)
-        print(json.dumps(counters), file=sys.stderr)
+    counters["seconds"] = round(time.perf_counter() - start, 6)
+    print(json.dumps(counters), file=sys.stderr)
 
 
 def cmd_expand(args) -> int:
@@ -77,14 +87,16 @@ def cmd_expand(args) -> int:
     start = time.perf_counter()
     if args.method == "borodin":
         series = genfun.borodin(profile, args.order)
-        counters = {"factors": len(genfun.borodin_specs(profile))}
+        if args.verbose:
+            _report({"factors": len(genfun.borodin_specs(profile))}, start)
     else:
         distinct = args.method == "chain-distinct"
         gf = genfun.chain_series(profile, args.order, distinct)
         series = gf.marginal()
-        counters = {"nodes": gf.nodes, "shapes": gf.shapes,
-                    "shape_pairs": gf.shape_pairs, "slot_bits": gf.slot_bits}
-    _report(args, counters, start)
+        if args.verbose:
+            _report({"nodes": gf.nodes, "shapes": gf.shapes,
+                     "shape_pairs": gf.shape_pairs,
+                     "slot_bits": gf.slot_bits}, start)
     if args.format == "json":
         _emit(json.dumps(series.to_json_dict()), args.out)
     else:
@@ -96,7 +108,8 @@ def cmd_count(args) -> int:
     profile = _parse_profile(args.profile)
     start = time.perf_counter()
     table = enumerate_table(profile, args.order)
-    _report(args, {"partitions": sum(map(sum, table.counts))}, start)
+    if args.verbose:
+        _report({"partitions": sum(map(sum, table.counts))}, start)
     if args.format == "json":
         payload = {
             "profile": list(profile.parts),
@@ -181,7 +194,8 @@ def cmd_verify(args) -> int:
             ok = _verify_one(args.id, order, args.z_power, lines, work)
     else:
         raise UsageError("verify needs --id or --all")
-    _report(args, work, start)
+    if args.verbose:
+        _report(work, start)
     _emit("\n".join(lines), args.out)
     return 0 if ok else 1
 
@@ -233,66 +247,110 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _profile_and_out(sp):
-    sp.add_argument("--profile", required=True,
-                    help="comma-separated profile, e.g. 2,1")
-    sp.add_argument("--out", help="write output to this file")
+def _option(flag, kind=None, choices=None, required=False, default=None,
+            help=None):
+    """One option row: flag, dest, type, choices, required, default, help.
+
+    `kind` is the value's type (None keeps the string) or "store_true" for a
+    flag that takes no value; dest is the flag's name as argparse derives it.
+    """
+    if kind == "store_true":
+        default = False
+    return (flag, flag[2:].replace("-", "_"), kind, choices, required, default,
+            help)
 
 
-def _common(sp):
-    _profile_and_out(sp)
-    sp.add_argument("--order", type=_int_at_least(0), required=True,
-                    help="truncation degree N")
-    sp.add_argument("--verbose", action="store_true")
+_PROFILE = _option("--profile", required=True,
+                   help="comma-separated profile, e.g. 2,1")
+_OUT = _option("--out", help="write output to this file")
+_ORDER = _option("--order", _int_at_least(0), required=True,
+                 help="truncation degree N")
+_VERBOSE = _option("--verbose", "store_true")
 
-
-def _expand_args(sp):
-    _common(sp)
-    sp.add_argument("--method", required=True,
-                    choices=["borodin", "chain", "chain-distinct"])
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _count_args(sp):
-    _common(sp)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-
-
-def _flow_args(sp):
-    _profile_and_out(sp)
-    sp.add_argument("--max-weight", type=_int_at_least(1), required=True)
-
-
-def _verify_args(sp):
-    sp.add_argument("--id", help='identity tag, e.g. 1.2, A1, gasper, L4.2(2)')
-    sp.add_argument("--all", action="store_true",
-                    help="run the pinned verification grid")
-    sp.add_argument("--order", type=_int_at_least(0), default=None)
-    sp.add_argument("--z-power", type=int, default=None,
-                    help="z = q^Z, only with --id gasper")
-    sp.add_argument("--format", choices=["text", "csv"], default="text")
-    sp.add_argument("--out", help="write output to this file")
-    sp.add_argument("--verbose", action="store_true")
-
-
-def _decompose_args(sp):
-    sp.add_argument("--json", help='inline JSON {"profile":[2,1],"rows":[[2,2,1],[3]]}')
-    sp.add_argument("--file", help="path to a JSON partition file")
-    sp.add_argument("--boards", action="store_true", help="ASCII boards too")
-    sp.add_argument("--out", help="write output to this file")
-
-
-#: One row per subcommand: name, help line, arguments, handler.
+#: One row per subcommand: name, help line, option rows, handler.  The rows
+#: are the whole grammar: build_parser and _plain_args both read them.
 _COMMANDS = (
-    ("expand", "coefficients of F_c(1,q)", _expand_args, cmd_expand),
-    ("count", "refined (max, size) table by enumeration", _count_args,
+    ("expand", "coefficients of F_c(1,q)",
+     (_PROFILE, _OUT, _ORDER, _VERBOSE,
+      _option("--method", required=True,
+              choices=("borodin", "chain", "chain-distinct")),
+      _option("--format", choices=("text", "json"), default="text")),
+     cmd_expand),
+    ("count", "refined (max, size) table by enumeration",
+     (_PROFILE, _OUT, _ORDER, _VERBOSE,
+      _option("--format", choices=("csv", "json"), default="csv")),
      cmd_count),
-    ("flow", "slice-flow graph as DOT", _flow_args, cmd_flow),
-    ("verify", "audit series identities and lemmas", _verify_args,
+    ("flow", "slice-flow graph as DOT",
+     (_PROFILE, _OUT,
+      _option("--max-weight", _int_at_least(1), required=True)),
+     cmd_flow),
+    ("verify", "audit series identities and lemmas",
+     (_option("--id", help="identity tag, e.g. 1.2, A1, gasper, L4.2(2)"),
+      _option("--all", "store_true", help="run the pinned verification grid"),
+      _option("--order", _int_at_least(0)),
+      _option("--z-power", int, help="z = q^Z, only with --id gasper"),
+      _option("--format", choices=("text", "csv"), default="text"),
+      _OUT, _VERBOSE),
      cmd_verify),
-    ("decompose", "level slices of one partition", _decompose_args,
+    ("decompose", "level slices of one partition",
+     (_option("--json",
+              help='inline JSON {"profile":[2,1],"rows":[[2,2,1],[3]]}'),
+      _option("--file", help="path to a JSON partition file"),
+      _option("--boards", "store_true", help="ASCII boards too"),
+      _OUT),
      cmd_decompose),
 )
+
+#: Per command: its option rows by flag, the namespace fields with their
+#: defaults, and the flags it requires.
+_GRAMMAR = {
+    name: ({row[0]: row for row in options},
+           {"command": name, "fn": handler,
+            **{row[1]: row[5] for row in options}},
+           frozenset(row[0] for row in options if row[4]))
+    for name, _help, options, handler in _COMMANDS
+}
+
+
+def _plain_args(argv: list[str]):
+    """The namespace argparse makes of a plain argv (module docstring), or
+    None for any other argv.
+
+    In a plain argv every option token is an exact option string and every
+    value token starts with no "-", so argparse, too, reads it token by
+    token: an option, then its one value; the last of a repeated option
+    wins; defaults fill the rest.
+    """
+    grammar = _GRAMMAR.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, defaults, required = grammar
+    fields = dict(defaults)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        row = options.get(token)
+        if row is None:
+            return None
+        flag, dest, kind, choices = row[:4]
+        given.add(flag)
+        if kind == "store_true":
+            fields[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # argparse reports the failure, or raises it
+                return None
+        if choices is not None and value not in choices:
+            return None
+        fields[dest] = value
+    if not required <= given:
+        return None
+    return SimpleNamespace(**fields)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -307,6 +365,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     argparse also prints for trailing unknown arguments, names every command
     either way.
     """
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="cylgf",
         description="Generating functions of cylindric partitions, computed "
@@ -321,9 +381,15 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     # otherwise work out by formatting a usage line
     sub = p.add_subparsers(dest="command", required=True, metavar=metavar,
                            prog=p.prog)
-    for name, help_line, add_arguments, handler in rows:
+    for name, help_line, options, handler in rows:
         sp = sub.add_parser(name, help=help_line)
-        add_arguments(sp)
+        for flag, _, kind, choices, required, default, help_text in options:
+            if kind == "store_true":
+                sp.add_argument(flag, action=kind, help=help_text)
+            else:
+                sp.add_argument(flag, type=kind, choices=choices,
+                                required=required, default=default,
+                                help=help_text)
         sp.set_defaults(fn=handler)
     return p
 
@@ -331,14 +397,16 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
-    # argparse turns an explicit `--opt=--` into [] and skips the option's
-    # type and choices; no option here takes a list
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            print(f"error: argument --{name.replace('_', '-')}: "
-                  "expected a value, got '--'", file=sys.stderr)
-            return 2
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
+        # argparse turns an explicit `--opt=--` into [] and skips the
+        # option's type and choices; no option here takes a list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                print(f"error: argument --{name.replace('_', '-')}: "
+                      "expected a value, got '--'", file=sys.stderr)
+                return 2
     try:
         return args.fn(args)
     except (UsageError, ProfileError, PartitionError, SliceError,

@@ -2,9 +2,11 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 from itertools import cycle, islice
 from math import comb
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import cylgf
 from cylgf import genfun, lemmas
-from cylgf.cli import build_parser, main
+from cylgf.cli import _plain_args, build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.record import Record
 from cylgf.series import NotAUnitError, Series
@@ -614,6 +616,17 @@ class TestHugeLevel:
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
+def golden_ids(cases):
+    """Each argv cut to 40 characters, or in full where the cut is shared:
+    distinct argvs get distinct ids."""
+    texts = [" ".join(case["argv"]) for case in cases]
+    cuts = Counter(text[:40] for text in texts)
+    return [text[:40] if cuts[text[:40]] == 1 else text for text in texts]
+
+
+GOLDEN_IDS = golden_ids(GOLDEN)
+
+
 class TestGolden:
     """Help, usage and error texts, byte for byte, at 80 columns.
 
@@ -624,8 +637,11 @@ class TestGolden:
     each subcommand and the lemma-tag errors and lines of `verify`.
     """
 
-    @pytest.mark.parametrize("case", GOLDEN,
-                             ids=[" ".join(c["argv"])[:40] for c in GOLDEN])
+    def test_cases_distinct(self):
+        assert len({tuple(case["argv"]) for case in GOLDEN}) == len(GOLDEN)
+        assert len(set(GOLDEN_IDS)) == len(GOLDEN)
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
     def test_output(self, capsys, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")
         try:
@@ -752,13 +768,17 @@ JUNK = st.one_of(TOKEN, st.integers(-5, 10).map(str)).filter(
     lambda token: not token.startswith("--o"))
 
 
-def mutate(argv, data):
+def mutations(argv):
     """argv with one token dropped, replaced or inserted, or as it is."""
-    i = data.draw(st.integers(0, len(argv)))
-    junk = data.draw(JUNK)
-    return data.draw(st.sampled_from([
-        argv, argv[:i] + argv[i + 1:], argv[:i] + [junk] + argv[i + 1:],
-        argv[:i] + [junk] + argv[i:]]))
+    return st.builds(
+        lambda i, junk, how: [
+            argv, argv[:i] + argv[i + 1:], argv[:i] + [junk] + argv[i + 1:],
+            argv[:i] + [junk] + argv[i:]][how],
+        st.integers(0, len(argv)), JUNK, st.integers(0, 3))
+
+
+def mutate(argv, data):
+    return data.draw(mutations(argv))
 
 
 class TestFuzz:
@@ -770,3 +790,93 @@ class TestFuzz:
         argv = mutate(argv, data)
         code, _, err = capture(main, argv)
         assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
+
+
+GOLDEN_BY_ARGV = {tuple(case["argv"]): case for case in GOLDEN}
+#: one ordinary argv of each command
+PLAIN = [
+    ["expand", "--profile", "2,1", "--order", "6", "--method", "chain"],
+    ["count", "--profile", "1,1", "--order", "3"],
+    ["flow", "--profile", "2,1", "--max-weight", "2"],
+    ["verify", "--id", "L4.1(0)", "--order", "12"],
+    ["decompose", "--json", TestDecompose.PART, "--boards"],
+]
+
+
+class TestPlainArgs:
+    """A plain argv is parsed from the command table without argparse, into
+    the namespace argparse would build; any other argv goes to argparse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.one_of(
+        FUZZ_ARGV.flatmap(mutations),
+        st.builds(lambda first, rest: [first, *rest],
+                  st.one_of(st.sampled_from(COMMANDS), TOKEN),
+                  st.lists(TOKEN, max_size=8))))
+    @example(argv=["expand", "--profile", "2,1", "--order", "3", "--order",
+                   "4", "--method", "chain", "--verbose", "--verbose"])
+    @example(argv=["count", "--profile", "2,1", "--order=3"])
+    @example(argv=["count", "--prof", "2,1", "--order", "3"])
+    @example(argv=["verify", "--id", "gasper", "--z-power", "-1"])
+    @example(argv=["count", "--profile", "2,1", "--order", "\uff13"])
+    @example(argv=["count", "--profile", "2,1", "--order", " -1"])
+    @example(argv=["flow", "--profile", "2,1", "--max-weight", "0"])
+    @example(argv=["count", "--profile", "", "--order", "3"])
+    @example(argv=["count", "--profile", "2,1", "--order", "3",
+                   "--format", "JSON"])
+    @example(argv=["expand", "--profile", "2,1", "--order", "3"])
+    def test_same_namespace_as_argparse(self, argv):
+        plain = capture(_plain_args, argv)
+        assert plain[1:] == ("", "")
+        if plain[0] is not None:
+            fields = vars(plain[0])
+            expected = parse(build_parser(), argv)
+            assert expected == (fields, "", "")
+            # == takes 1 for True: the types must match too
+            assert ({k: type(v) for k, v in expected[0].items()}
+                    == {k: type(v) for k, v in fields.items()})
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_ordinary_argv_is_plain(self, argv):
+        assert _plain_args(argv) is not None
+
+    def test_plain_run_loads_no_argparse(self):
+        # a plain run of each command in a fresh process imports neither
+        # argparse nor gettext (nor the locale module gettext brings); help
+        # and a bad choice in the same process still print argparse's texts
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        fallback = [["-h"], ["expand", "--profile", "2,1", "--order", "3",
+                             "--method", "fast"]]
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", COLD_START,
+             src, json.dumps(PLAIN), json.dumps(fallback)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "COLUMNS": "80"})
+        plain, loaded, runs = json.loads(proc.stdout)
+        assert (plain, loaded) == ([0] * len(PLAIN), []), proc.stderr
+        assert runs == [[GOLDEN_BY_ARGV[tuple(argv)][key]
+                         for key in ("code", "out", "err")]
+                        for argv in fallback]
+
+
+# in a fresh process: the exit codes of the plain argvs of argv[2] (JSON),
+# the parsing modules they loaded, then exit code, stdout and stderr of each
+# argv of argv[3]
+COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from cylgf.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+plain = [run(argv)[0] for argv in json.loads(sys.argv[2])]
+loaded = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+print(json.dumps([plain, loaded, [run(a) for a in json.loads(sys.argv[3])]]))
+"""
