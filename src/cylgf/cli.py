@@ -91,7 +91,8 @@ def cmd_expand(args) -> int:
             _report({"factors": len(genfun.borodin_specs(profile))}, start)
     else:
         distinct = args.method == "chain-distinct"
-        gf = genfun.chain_series(profile, args.order, distinct)
+        gf = genfun.chain_series(profile, args.order, distinct,
+                                  refined=False)
         series = gf.marginal()
         if args.verbose:
             _report({"nodes": gf.nodes, "shapes": gf.shapes,

@@ -2,7 +2,9 @@
 
 * borodin: the closed-form infinite product for F_c(1, q).
 * chain_series: the slice-chain DP, refined by the largest-part statistic
-  (z-degree) and the size (q-degree).
+  (z-degree) and the size (q-degree) for the callers that read F_c(z, q)
+  (the tests and the benchmark checks), or run at z = 1 for `expand`, which
+  prints only F_c(1, q).
 * catalog_sides: a table of named series identities, one row per tag
   (the lemma tags L4.x, L5.x belong to `lemmas`), read by one evaluator.
   Each sum is kept by its term ratio and built term from previous term;
@@ -61,6 +63,8 @@ def borodin(profile: Profile, order: int) -> Series:
 class ChainGF(Record):
     """table[m][n] = coefficient of z^m q^n in the chain generating function.
 
+    A table folded at z = 1 (`chain_series(..., refined=False)`) is one row,
+    table = (row,) with row[n] = [q^n] F_c(1, q); `marginal` reads both.
     The last four fields count the work done (slices, shapes, prefix sums
     added, packed slot width); equality and hashing leave them out.
     """
@@ -86,7 +90,8 @@ class ChainGF(Record):
         return Series.from_coeffs(map(sum, zip(*self.table)))
 
 
-def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainGF:
+def chain_series(profile: Profile, order: int, distinct: bool = False,
+                 refined: bool = True) -> ChainGF:
     """Sum over strict containment chains of non-empty slices.
 
     A chain element of weight w contributes z*q^w once (distinct=True) or
@@ -120,11 +125,19 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
     j = 1 .. floor(N/w) is built by doubling, S <- S + S * (z q^w)^span with
     span = 1, 2, 4, ...: about log2(N/w) steps, and the terms with
     j > floor(N/w) it adds have q-degree past N, so the mask drops them.
+
+    With refined=False the same loop runs at z = 1: q^k sits in slot k, a
+    level of weight w repeated j times is a shift by j*w slots, the mask
+    keeps N+1 slots, and the result is the one row table = (row,).  A slot
+    still counts the cylindric partitions of one size k <= N, so B is the
+    same.  `expand` asks for this layout, as it prints only F_c(1, q); the
+    default (N+1)^2 layout is the reference for F_c(z, q).
     """
     n, side = order, order + 1
+    z_slots = side if refined else 1
     bound = product_expr([], [PochSpec(1, 1, 1)] * profile.rank, n)
     bits = bound.coeffs[n].bit_length()
-    mask = (1 << (side * side * bits)) - 1
+    mask = (1 << (side * z_slots * bits)) - 1
     r, base = profile.rank, sum(baseline(profile))
     floors = shape_floors(profile)
     # the shapes with a slice of weight sum(sigma) + r*L - sum(b) <= N:
@@ -152,7 +165,7 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
             pairs += len(terms)
             inner = 1 + sum(terms)
             w = size + r * length - base
-            span = (w * side + 1) * bits
+            span = (w * z_slots + refined) * bits
             cur = (inner << span) & mask
             if not distinct:
                 reps = 1
@@ -165,10 +178,10 @@ def chain_series(profile: Profile, order: int, distinct: bool = False) -> ChainG
             nodes += 1
 
     total = 1 + sum(p[-1] for p in prefix)
-    row_mask, slot_mask = (1 << side * bits) - 1, (1 << bits) - 1
-    rows = [total >> k * side * bits & row_mask for k in range(side)]
+    row_mask, slot_mask = (1 << z_slots * bits) - 1, (1 << bits) - 1
+    rows = [total >> k * z_slots * bits & row_mask for k in range(side)]
     table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
-                  for m in range(side))
+                  for m in range(z_slots))
     return ChainGF(profile, n, distinct, table, nodes, len(floors), pairs,
                    bits)
 

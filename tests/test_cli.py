@@ -602,15 +602,29 @@ class TestHugeLevel:
                      id="verify-20000-lemma-blocks"),
     ])
     def test_exits_0(self, argv, expected):
+        proc = self.run_limited(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    def test_chain_at_order_1000(self):
+        # expand runs the DP at z = 1 on (N+1)-slot ints; the (N+1)^2-slot
+        # z-table at N = 1000 ends in MemoryError (exit 3) under the limit
+        expand = ["expand", "--profile", "1,1", "--order", "1000", "--method"]
+        runs = {m: self.run_limited(expand + [m])
+                for m in ("chain", "chain-distinct", "borodin")}
+        for proc in runs.values():
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert runs["chain"].stdout == runs["borodin"].stdout
+        assert runs["chain-distinct"].stdout.count(",") == 1000
+
+    def run_limited(self, argv):
         src = str(Path(cylgf.__file__).resolve().parent.parent)
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c",
              "import sys; sys.path.insert(0, sys.argv[1]); "
              "from cylgf.cli import main; sys.exit(main(sys.argv[2:]))",
              src, *argv],
             capture_output=True, text=True, timeout=30,
             preexec_fn=self.limit_memory)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())

@@ -115,18 +115,77 @@ class TestBorodin:
                 assert s.start >= 1
 
 
-class TestChainSeries:
+class ChainMarginals:
+    """The marginal tests of the chain DP, run on the layout that `refined`
+    names: the (N+1)^2 z-refined table, or the one row folded at z = 1."""
+
+    refined = True
+
+    def chain(self, profile, order, distinct=False):
+        return chain_series(profile, order, distinct, refined=self.refined)
+
     def test_matches_enumeration(self):
         for parts in [(1, 1), (2, 0), (2, 1)]:
             profile = Profile(parts)
             counts = enumerate_table(profile, 9).counts
             marg = Series.from_coeffs(map(sum, zip(*counts)))
-            assert chain_series(profile, 9).marginal() == marg, parts
+            assert self.chain(profile, 9).marginal() == marg, parts
 
     def test_order_zero(self):
-        g = chain_series(Profile((2, 1)), 0)
+        g = self.chain(Profile((2, 1)), 0)
         assert g.table == ((1,),)
 
+    @pytest.mark.parametrize("parts", [(1,), (3,)])
+    def test_rank_one_is_partition_numbers(self, parts):
+        # rank 1: every partition is cylindric, so the marginal reaches the
+        # slot bound [q^N] 1/(q;q)_oo = p(N) exactly
+        g = self.chain(Profile(parts), 60)
+        p = partition_numbers(60)
+        assert list(g.marginal().coeffs) == p
+        assert g.slot_bits == p[60].bit_length()
+
+    @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
+    def test_chain_equals_borodin_at_benchmark_orders(self, parts, order):
+        profile = Profile(parts)
+        assert self.chain(profile, order).marginal() == borodin(profile, order)
+
+    @pytest.mark.parametrize("parts", [parts for parts, _ in CHAIN_ORBITS])
+    def test_distinct_equals_list_dp(self, parts):
+        profile = Profile(parts)
+        got = self.chain(profile, 20, distinct=True).marginal()
+        assert list(got.coeffs) == distinct_chain_marginal(profile, 20)
+
+
+class TestFoldedChainSeries(ChainMarginals):
+    refined = False
+
+    def test_table_is_one_row(self):
+        g = self.chain(Profile((1, 1)), 4)
+        assert g.table == ((1, 2, 3, 6, 10),)
+
+    def test_equals_refined_marginal(self):
+        # every profile of rank 1-4 and level 1-4, zero parts included: the
+        # z = 1 layout gives the same marginal and the same work counters
+        cases = 0
+        for rank in range(1, 5):
+            for parts in itertools.product(range(5), repeat=rank):
+                if not 1 <= sum(parts) <= 4:
+                    continue
+                for order in (0, 1, 2, 5, 13):
+                    for distinct in (False, True):
+                        cases += 1
+                        key = (parts, order, distinct)
+                        full = chain_series(Profile(parts), order, distinct)
+                        folded = self.chain(Profile(parts), order, distinct)
+                        assert folded.marginal() == full.marginal(), key
+                        assert ([folded.nodes, folded.shapes,
+                                 folded.shape_pairs, folded.slot_bits]
+                                == [full.nodes, full.shapes,
+                                    full.shape_pairs, full.slot_bits]), key
+        assert cases == 1210
+
+
+class TestChainSeries(ChainMarginals):
     def test_refined_equals_enumeration(self):
         for parts in [(1, 1), (2, 1)]:
             profile = Profile(parts)
@@ -163,20 +222,6 @@ class TestChainSeries:
         profile = Profile(tuple(parts))
         assert (chain_series(profile, order).table
                 == enumerate_table(profile, order).counts)
-
-    @pytest.mark.parametrize("parts", [(1,), (3,)])
-    def test_rank_one_is_partition_numbers(self, parts):
-        # rank 1: every partition is cylindric, so the marginal reaches the
-        # slot bound [q^N] 1/(q;q)_oo = p(N) exactly
-        g = chain_series(Profile(parts), 60)
-        p = partition_numbers(60)
-        assert list(g.marginal().coeffs) == p
-        assert g.slot_bits == p[60].bit_length()
-
-    @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
-    def test_chain_equals_borodin_at_benchmark_orders(self, parts, order):
-        profile = Profile(parts)
-        assert chain_series(profile, order).marginal() == borodin(profile, order)
 
     def test_equals_scan_on_small_profiles(self):
         from test_cylindric import all_profiles
@@ -216,12 +261,6 @@ class TestChainSeries:
                 assert (chain_series(Profile(parts), 30).table
                         == chain_series(turned, 30).table), parts
         assert seen == 44
-
-    @pytest.mark.parametrize("parts", [parts for parts, _ in CHAIN_ORBITS])
-    def test_distinct_equals_list_dp(self, parts):
-        profile = Profile(parts)
-        got = chain_series(profile, 20, distinct=True).marginal()
-        assert list(got.coeffs) == distinct_chain_marginal(profile, 20)
 
 
 def order_cases(key, degrees, top):
@@ -266,10 +305,12 @@ class TestCatalog:
         assert rhs == borodin(Profile((2, 1)), 20)
 
     def test_profile_identities_match_lhs(self):
+        # the folded DP at z = 1 against the LHS of each of 1.2-1.8
         for parts, tag in PROFILE_IDENTITIES.items():
             profile = Profile(parts)
-            lhs, _ = catalog_sides(tag, 12)
-            assert chain_series(profile, 12).marginal() == lhs, parts
+            lhs, _ = catalog_sides(tag, 150)
+            got = chain_series(profile, 150, refined=False).marginal()
+            assert got == lhs, parts
 
     def test_duality_pairs(self):
         for a, b in DUALITY_PAIRS:
