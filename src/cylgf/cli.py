@@ -110,7 +110,8 @@ def cmd_count(args) -> int:
     start = time.perf_counter()
     table = enumerate_table(profile, args.order)
     if args.verbose:
-        _report({"partitions": sum(map(sum, table.counts))}, start)
+        _report({"partitions": sum(map(sum, table.counts)),
+                 "prefixes": table.prefixes}, start)
     if args.format == "json":
         payload = {
             "profile": list(profile.parts),

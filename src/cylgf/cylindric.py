@@ -1,14 +1,17 @@
 """Profiles, cylindric partitions, and the brute-force enumeration oracle.
 
 The enumeration works from the definition alone: one backtracking walk
-(`_walk`) builds the rows part by part and enforces every defining
-inequality, the cyclic one included, as each part is placed, so that it
-stays independent of the slice machinery it is used to audit.
-`enumerate_table` counts in the walk's callback; `iter_partitions` collects
-the partitions from the same walk.
+(`_walk`), a loop over an explicit stack, builds the rows part by part and
+enforces every defining inequality, the cyclic one included, as each part
+is placed, so that it stays independent of the slice machinery it is used
+to audit.  Once nothing is left for the last row to dominate, every allowed
+value of its next part ends a partition, and the walk reports that range as
+one run.  `enumerate_table` adds each run to a difference table in O(1);
+`iter_partitions` expands the runs of the same walk.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import lt
 
 from .record import Record
@@ -142,76 +145,131 @@ def validate(profile: Profile, rows) -> CylindricPartition:
     return CylindricPartition(profile, tuple(rows))
 
 
-def _walk(profile: Profile, bound: int, visit) -> None:
-    """Call visit(rows, largest, size) once per cylindric partition of size
-    <= bound, by plain backtracking.
+def _walk(profile: Profile, bound: int, run) -> int:
+    """Report every cylindric partition of size <= bound, a run of last
+    parts at a time; return the number of prefixes the walk entered.
 
-    Rows are built one after another, part by part, and every inequality is
-    enforced as its part is placed: each part of row i > 0 is at most the
-    entry of row i - 1 that dominates it, and each part of the last row is at
-    least the entry of the first row it must dominate (the cyclic inequality
-    last[j] >= first[j + c_1]).  `need`, the sum of the first-row parts the
-    last row still has to dominate, is the least size the last row must
-    still take, so a prefix that leaves less room than that is cut at once;
-    the last row is complete only when `need` is 0.  `rows` is the walk's own
-    list of part lists: read it during the call, do not keep it.
+    One loop over an explicit stack builds the rows one after another, part
+    by part, and enforces every inequality as its part is placed: each part
+    of row i > 0 is at most the entry of row i - 1 that dominates it, and
+    each part of the last row is at least the entry of the first row it
+    must dominate (the cyclic inequality last[j] >= first[j + c_1]).
+    `need`, the sum of the first-row parts the last row still has to
+    dominate, is the least size the last row must still take, so a prefix
+    that leaves less room than that is cut at once.
+
+    Once `need` is 0 with the last row's next part in place, each value v
+    in [lo, hi] of that part ends a partition:
+    run(rows, largest, size, lo, hi) reports them all at once, and the walk
+    enters only the v that leave room for one more part.  `rows`, `largest` and `size` describe the
+    prefix without v; a partition whose last row is empty is the run
+    lo = hi = 0, where a part 0 is no part.  `rows` is the walk's own list
+    of part lists: read it during the call, do not keep it.
     """
     c = profile.parts
-    last, lift = len(c) - 1, c[0]
+    last, lift, shift = len(c) - 1, c[0], c[-1]
     rows: list[list[int]] = [[] for _ in c]
-    first = rows[0]
-
-    def extend(i, pos, cap, size, largest, need):
-        row = rows[i]
+    first, above = rows[0], rows[-2] if last else None
+    # a stacked node (i, pos, cap, size, largest, need) holds pos parts in
+    # row i, the last of them cap; the node taken next is kept unpacked
+    stack: list[tuple[int, ...]] = []
+    push, pop = stack.append, stack.pop
+    i = pos = size = largest = need = prefixes = 0
+    cap = bound
+    while True:
+        prefixes += 1
         if i < last:
-            extend(i + 1, 0, bound - size, size, largest, need)
-        elif not need:
-            visit(rows, largest, size)
-        lo, grow = 1, 0
-        if i == last and need:
+            room = bound - size - need
+            hi, grow, p1 = cap if cap < room else room, 0, pos + 1
+            if i:
+                up, j = rows[i - 1], pos - c[i]
+                if j >= 0:
+                    top = up[j] if j < len(up) else 0
+                    if top < hi:
+                        hi = top
+            elif pos >= lift:
+                # the last row will have to dominate this part too
+                if room // 2 < hi:
+                    hi = room // 2
+                grow = 1
+            for v in range(1, hi + 1):
+                push((i, p1, v, size + v, v if v > largest else largest,
+                      need + grow * v))
+            # row i ends here: the next row starts empty, and its subtree is
+            # walked before the nodes just pushed, so row i keeps pos parts
+            i += 1
+            rows[i].clear()
+            pos, cap = 0, bound - size
+            continue
+        if need:
             # this part dominates first[pos + lift] and takes it off the need
             lo = first[pos + lift]
             need -= lo
+        else:
+            lo = 1
+            if not pos:
+                run(rows, largest, size, 0, 0)
         room = bound - size - need
-        hi = min(cap, room)
-        if i:
-            above, j = rows[i - 1], pos - c[i]
+        hi = cap if cap < room else room
+        more = True  # the row above leaves room for a part after this one
+        if last:
+            j = pos - shift
             if j >= 0:
-                hi = min(hi, above[j] if j < len(above) else 0)
-        elif last and pos >= lift:
-            # the last row will have to dominate this part too
-            hi, grow = min(hi, room // 2), 1
-        for v in range(hi, lo - 1, -1):
-            row.append(v)
-            extend(i, pos + 1, v, size + v, largest if pos else max(largest, v),
-                   need + grow * v)
-            row.pop()
-
-    extend(0, 0, bound, 0, 0, 0)
+                top = above[j] if j < len(above) else 0
+                if top < hi:
+                    hi = top
+            more = j + 1 < len(above)
+        if lo <= hi:
+            p1 = pos + 1
+            if need:
+                for v in range(lo, hi + 1):
+                    push((last, p1, v, size + v,
+                          v if v > largest else largest, need))
+            else:
+                run(rows, largest, size, lo, hi)
+                if more:
+                    if room <= hi:
+                        hi = room - 1
+                    for v in range(lo, hi + 1):
+                        push((last, p1, v, size + v,
+                              v if v > largest else largest, 0))
+        if not stack:
+            return prefixes
+        i, pos, cap, size, largest, need = pop()
+        rows[i][pos - 1:] = (cap,)
 
 
 def iter_partitions(profile: Profile, bound: int) -> list[CylindricPartition]:
     """All cylindric partitions with size <= bound, from the same walk as
-    enumerate_table."""
+    enumerate_table, each run expanded."""
     found = []
 
-    def visit(rows, largest, size):
-        found.append(CylindricPartition(profile, tuple(map(tuple, rows))))
+    def run(rows, largest, size, lo, hi):
+        head, tail = tuple(map(tuple, rows[:-1])), tuple(rows[-1])
+        for v in range(lo, hi + 1):
+            found.append(CylindricPartition(
+                profile, head + (tail + (v,) if v else tail,)))
 
-    _walk(profile, bound, visit)
+    _walk(profile, bound, run)
     return found
 
 
 class RefinedTable(Record):
-    """counts[m][n] = number of cylindric partitions with largest part m, size n."""
+    """counts[m][n] = number of cylindric partitions with largest part m, size n.
 
-    __slots__ = ("profile", "order", "counts")
+    `prefixes` counts the prefixes the enumeration walk entered; equality
+    and hashing leave it out.
+    """
+
+    __slots__ = ("profile", "order", "counts", "prefixes")
+    _compared = __slots__[:3]
 
     def __init__(self, profile: Profile, order: int,
-                 counts: tuple[tuple[int, ...], ...]):
+                 counts: tuple[tuple[int, ...], ...], prefixes: int = 0):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "prefixes", prefixes)
 
     def to_csv(self) -> str:
         lines = ["max,size,count"]
@@ -226,16 +284,33 @@ def enumerate_table(profile: Profile, order: int) -> RefinedTable:
     """Exhaustive refined count by (largest part, size) up to the order.
 
     This is the definition-level oracle; it shares no code with the slice
-    or generating-function modules.  It counts in the walk's callback and
+    or generating-function modules.  Each run of the walk is added to a
+    difference table along the size axis in O(1) (a run of first parts of
+    the last row, whose v may be the largest part, adds the v above the
+    largest one cell each), and prefix sums give the counts at the end.  It
     builds no partition objects, so its cost is about the number of prefixes
-    the walk visits: (1,1,1,1) at order 18 (165,802 partitions) takes about
-    0.4 s on one core of a 2-vCPU Xeon VM under CPython 3.11.
+    the walk enters: (1,1,1,1) at order 18 (165,802 partitions, 170,121
+    prefixes) takes about 0.17 s on one core of a 2-vCPU Xeon VM under
+    CPython 3.11, against 0.4 s for the recursive walk that counted one
+    partition per call.
     """
     n = order
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    # counts[m][k] is the sum of diff[m][:k + 1]
+    diff = [[0] * (n + 2) for _ in range(n + 1)]
 
-    def visit(rows, largest, size):
-        counts[largest][size] += 1
+    def run(rows, largest, size, lo, hi):
+        top = hi if hi < largest else largest
+        if lo <= top:
+            row = diff[largest]
+            row[size + lo] += 1
+            row[size + top + 1] -= 1
+        if hi > largest:
+            # v is the first part of the last row and the new largest part
+            for v in range(lo if lo > largest else largest + 1, hi + 1):
+                row = diff[v]
+                row[size + v] += 1
+                row[size + v + 1] -= 1
 
-    _walk(profile, n, visit)
-    return RefinedTable(profile, n, tuple(tuple(row) for row in counts))
+    prefixes = _walk(profile, n, run)
+    return RefinedTable(profile, n, tuple(
+        tuple(accumulate(row[:-1])) for row in diff), prefixes)

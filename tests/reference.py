@@ -3,8 +3,10 @@
 `recompose` inverts `slices.decompose` from the definition,
 `DUALITY_PAIRS` lists the profiles that share one generating function under
 rank-level duality, and `comb_shape_name` names a shape with one `comb` per
-entry, the reference for `slices.shape_name`; no command of the package
-needs any of them.
+entry, the reference for `slices.shape_name`; `recursive_walk` is the
+enumeration oracle's walk as plain recursion, one call per partition, and
+`walk_table` counts by (largest part, size) from it, the reference for
+`cylindric.enumerate_table`.  No command of the package needs any of them.
 """
 from math import comb
 
@@ -49,3 +51,62 @@ def comb_shape_name(sh: tuple[int, ...]) -> str:
     k = sum(comb(s + m, m + 1)
             for m, s in zip(range(len(sh) - 1, -1, -1), sh))
     return chr(ord("a") + k) if k < 26 else f"s{k}"
+
+
+def recursive_walk(profile: Profile, bound: int, visit) -> None:
+    """Call visit(rows, largest, size) once per cylindric partition of size
+    <= bound, by plain backtracking.
+
+    Rows are built one after another, part by part, and every inequality is
+    enforced as its part is placed: each part of row i > 0 is at most the
+    entry of row i - 1 that dominates it, and each part of the last row is at
+    least the entry of the first row it must dominate (the cyclic inequality
+    last[j] >= first[j + c_1]).  `need`, the sum of the first-row parts the
+    last row still has to dominate, is the least size the last row must
+    still take, so a prefix that leaves less room than that is cut at once;
+    the last row is complete only when `need` is 0.  `rows` is the walk's own
+    list of part lists: read it during the call, do not keep it.
+    """
+    c = profile.parts
+    last, lift = len(c) - 1, c[0]
+    rows: list[list[int]] = [[] for _ in c]
+    first = rows[0]
+
+    def extend(i, pos, cap, size, largest, need):
+        row = rows[i]
+        if i < last:
+            extend(i + 1, 0, bound - size, size, largest, need)
+        elif not need:
+            visit(rows, largest, size)
+        lo, grow = 1, 0
+        if i == last and need:
+            # this part dominates first[pos + lift] and takes it off the need
+            lo = first[pos + lift]
+            need -= lo
+        room = bound - size - need
+        hi = min(cap, room)
+        if i:
+            above, j = rows[i - 1], pos - c[i]
+            if j >= 0:
+                hi = min(hi, above[j] if j < len(above) else 0)
+        elif last and pos >= lift:
+            # the last row will have to dominate this part too
+            hi, grow = min(hi, room // 2), 1
+        for v in range(hi, lo - 1, -1):
+            row.append(v)
+            extend(i, pos + 1, v, size + v, largest if pos else max(largest, v),
+                   need + grow * v)
+            row.pop()
+
+    extend(0, 0, bound, 0, 0, 0)
+
+
+def walk_table(profile: Profile, order: int) -> tuple[tuple[int, ...], ...]:
+    """counts[m][n] by `recursive_walk`, one partition at a time."""
+    counts = [[0] * (order + 1) for _ in range(order + 1)]
+
+    def visit(rows, largest, size):
+        counts[largest][size] += 1
+
+    recursive_walk(profile, order, visit)
+    return tuple(map(tuple, counts))

@@ -525,7 +525,9 @@ class TestVerbose:
         counters = json.loads(err)
         assert counters.pop("seconds") >= 0
         table = enumerate_table(Profile((2, 1)), 9)
-        assert counters == {"partitions": sum(map(sum, table.counts))}
+        assert counters == {"partitions": sum(map(sum, table.counts)),
+                            "prefixes": table.prefixes}
+        assert 0 < table.prefixes
 
     @pytest.mark.parametrize("argv, identities, lemma_specs", [
         (["--all", "--order", "12"], None, None),
@@ -560,8 +562,9 @@ MANY_BLOCKS = "L4.4({})".format(",".join(["1"] * 20000))
 
 class TestHugeLevel:
     """A level far past any shape list still names its few shapes; a rank
-    far past the recursion limit still lists its slices; a lemma tag of
-    many blocks whose every term lies past the order costs little."""
+    far past the recursion limit still lists its slices and counts its
+    partitions; a lemma tag of many blocks whose every term lies past the
+    order costs little."""
 
     @staticmethod
     def limit_memory():
@@ -597,6 +600,11 @@ class TestHugeLevel:
                      '  n4 [label="s5000000150000004q^2"];\n'
                      "  n0 -> n2;\n  n0 -> n3;\n  n1 -> n2;\n  n1 -> n4;\n}\n",
                      id="flow-level-100000001"),
+        # 1,500 rows deep, far past the recursion limit: the enumeration
+        # walk keeps its own stack
+        pytest.param(["count", "--profile", ",".join(["1"] + ["0"] * 1499),
+                      "--order", "1"],
+                     "max,size,count\n0,0,1\n1,1,1\n", id="count-rank-1500"),
         pytest.param(["verify", "--id", MANY_BLOCKS, "--order", "10"],
                      f"{MANY_BLOCKS},order=10,PASS\n",
                      id="verify-20000-lemma-blocks"),
@@ -736,6 +744,26 @@ def profile(max_rank, parts):
         lambda ps: ",".join(map(str, ps)))
 
 
+def sparse_profile(max_rank):
+    """A profile of rank up to max_rank, zero but for one to three small or
+    huge parts: the enumeration walk is as deep as the rank, and about as
+    wide as the partitions that the nonzero parts let in."""
+    def spread(rank, placed):
+        parts = [0] * rank
+        for at, part in placed:
+            parts[at % rank] = part
+        return ",".join(map(str, parts))
+
+    # hypothesis draws small integers more often: the top quarter on its own
+    # keeps ranks far past the recursion limit common
+    ranks = st.one_of(st.integers(1, max_rank),
+                      st.integers(max_rank * 3 // 4, max_rank))
+    return st.builds(spread, ranks, st.lists(
+        st.tuples(st.integers(0, max_rank - 1),
+                  st.one_of(st.integers(1, 3), HUGE)),
+        min_size=1, max_size=3))
+
+
 def decompose_argv(parts, boards):
     return st.builds(lambda c, rows: ["decompose", "--json", json.dumps(
         {"profile": c, "rows": rows}), *boards],
@@ -757,6 +785,15 @@ FUZZ_ARGV = st.one_of(
               st.sampled_from([[], ["--format", "json"], ["--verbose"]])),
     st.builds(lambda p, n: ["count", "--profile", p, "--order", str(n)],
               profile(3, st.integers(0, 2)), st.integers(0, 10)),
+    # a high rank at orders <= 2; the order is one --order=N token, since
+    # a mutation of a separate value could raise it to 10, and the work is
+    # about the rank times the number of partitions.  Hypothesis raises the
+    # recursion limit by about 2,000 while a test runs, so only ranks past
+    # that would find a recursive walk here
+    st.builds(lambda p, n: ["count", "--profile", p, f"--order={n}"],
+              sparse_profile(4000), st.integers(0, 1)),
+    st.builds(lambda p: ["count", "--profile", p, "--order=2"],
+              sparse_profile(200)),
     st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],
               profile(3, st.one_of(SMALL, HUGE)), st.integers(1, 3)),
     st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],

@@ -10,6 +10,7 @@ from cylgf.cylindric import (InequalityError, PartitionError, Profile,
                              ProfileError, RowError, enumerate_table,
                              iter_partitions, validate)
 from cylgf.series import Series
+from reference import walk_table
 
 
 def all_profiles(max_t):
@@ -58,6 +59,22 @@ def brute_partitions(profile, bound):
 
 
 PROFILES = st.lists(st.integers(0, 2), min_size=1, max_size=4).filter(any)
+
+# the profile orbits of the audit benchmark workload's count jobs
+COUNT_ORBITS = [(2, 1), (3, 1), (4, 1), (3, 0), (2, 0, 0), (1, 2, 0),
+                (2, 1, 0), (1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0),
+                (2, 1, 0, 0), (1, 1, 1, 0)]
+
+
+def histogram(rows_set):
+    """(largest part, size) -> number of the given partitions."""
+    return Counter((max((row[0] for row in rows if row), default=0),
+                    sum(map(sum, rows))) for rows in rows_set)
+
+
+def table_histogram(counts):
+    return Counter({(m, n): k for m, row in enumerate(counts)
+                    for n, k in enumerate(row) if k})
 
 
 class TestProfile:
@@ -187,10 +204,8 @@ class TestEnumerate:
         # iter_partitions and enumerate_table come from the same walk
         profile = Profile(tuple(parts))
         found = iter_partitions(profile, bound)
-        histogram = Counter((cp.largest, cp.size) for cp in found)
-        counts = enumerate_table(profile, bound).counts
-        assert histogram == Counter({(m, n): k for m, row in enumerate(counts)
-                                     for n, k in enumerate(row) if k})
+        assert (Counter((cp.largest, cp.size) for cp in found)
+                == table_histogram(enumerate_table(profile, bound).counts))
         for cp in found:
             assert validate(profile, cp.rows) == cp
 
@@ -202,6 +217,36 @@ class TestEnumerate:
         rows = [cp.rows for cp in iter_partitions(profile, bound)]
         assert len(rows) == len(set(rows))
         assert set(rows) == brute_partitions(profile, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=PROFILES, bound=st.integers(0, 5))
+    def test_table_equals_definition_histogram(self, parts, bound):
+        # the table adds whole runs, so it is checked against the definition
+        # directly and not only against the partitions the walk lists
+        profile = Profile(tuple(parts))
+        assert (table_histogram(enumerate_table(profile, bound).counts)
+                == histogram(brute_partitions(profile, bound)))
+
+    def test_table_equals_recursive_walk(self):
+        # every profile of rank 1-4 with parts <= 3, zero parts included,
+        # at orders 0-8; a table at order n is the corner of one at order 8
+        for rank in range(1, 5):
+            for parts in itertools.product(range(4), repeat=rank):
+                if not any(parts):
+                    continue
+                profile = Profile(parts)
+                ref = walk_table(profile, 8)
+                for n in range(9):
+                    assert (enumerate_table(profile, n).counts
+                            == tuple(row[:n + 1] for row in ref[:n + 1])), \
+                        (parts, n)
+
+    @pytest.mark.parametrize("orbit", COUNT_ORBITS, ids=str)
+    def test_count_orbits_equal_recursive_walk(self, orbit):
+        for turn in range(len(orbit)):
+            profile = Profile(orbit[turn:] + orbit[:turn])
+            assert (enumerate_table(profile, 10).counts
+                    == walk_table(profile, 10)), profile.parts
 
     def test_rank_one_degenerate(self):
         # single row, parts no wider than c_1 apart: lambda_j >= lambda_{j+c_1}

@@ -28,10 +28,11 @@ RECORDS = {
         [dict(profile=Profile((1, 2))), dict(rows=((2, 2), (3,)))],
         {}),
     RefinedTable: (
-        lambda: dict(profile=Profile((1, 1)), order=1, counts=((1, 0), (0, 2))),
+        lambda: dict(profile=Profile((1, 1)), order=1, counts=((1, 0), (0, 2)),
+                     prefixes=4),
         [dict(profile=Profile((2, 0))), dict(order=0),
          dict(counts=((1, 0), (0, 3)))],
-        {}),
+        dict(prefixes=9)),
     ChainGF: (
         lambda: dict(profile=Profile((1, 1)), order=1, distinct=False,
                      table=((1, 0), (0, 2)), nodes=2, shapes=2,
