@@ -6,12 +6,14 @@ parameters, `--z-power` without `--id gasper`, `--format csv` without a
 catalog identity, an option given the value `--`, malformed or invalid
 partitions, partition JSON that is not UTF-8, nested past the recursion
 limit or holds an integer past the digit limit, unreadable or unwritable
-files), 3 for internal contract violations and any other unexpected
-exception.  All file output ends with a trailing newline and is
-byte-identical across runs of the same command.
+files, `verify --all` with `--id`), 3 for internal contract violations and
+any other unexpected exception.  All file output ends with a trailing newline
+and is byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
-command's work counters and time to stderr as one JSON object.  `verify`
-checks lemma tags in `lemmas`, other tags in `genfun`, and formats its lines.
+command's work counters and time to stderr as one JSON object.  Each command
+below assembles its own output: the modules it calls return records and
+tuples, never text.  `verify` checks lemma tags in `lemmas`, other tags in
+`genfun`.
 
 The option grammar is one table, `_COMMANDS`.  A plain argv (a command name,
 then exact option strings of that command, each value option followed by a
@@ -19,7 +21,7 @@ value that does not start with "-", converts with its type and is one of its
 choices, every required option given) is read straight from the table, and
 `argparse` is not imported.  Any other argv (help, `--opt=value`,
 abbreviations, values such as `-1`, bad values, missing options) goes to
-`argparse`, the only source of help, usage and error text.
+the full `argparse` parser, the only source of help, usage and error text.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
                         enumerate_table, validate)
 from .series import first_mismatch
-from .slices import SliceError, board, decompose, flow_graph, shape, shape_name
+from .slices import (SliceError, baseline, decompose, flow_graph, shape,
+                     shape_name)
 
 
 class UsageError(ValueError):
@@ -99,9 +102,12 @@ def cmd_expand(args) -> int:
                      "shape_pairs": gf.shape_pairs,
                      "slot_bits": gf.slot_bits}, start)
     if args.format == "json":
-        _emit(json.dumps(series.to_json_dict()), args.out)
+        # decimal strings keep big coefficients exact in any JSON reader
+        _emit(json.dumps({"order": series.order,
+                          "coeffs": [str(c) for c in series.coeffs]}),
+              args.out)
     else:
-        _emit(str(series), args.out)
+        _emit("[" + ", ".join(map(str, series.coeffs)) + "]", args.out)
     return 0
 
 
@@ -120,14 +126,29 @@ def cmd_count(args) -> int:
         }
         _emit(json.dumps(payload), args.out)
     else:
-        _emit(table.to_csv(), args.out)
+        lines = ["max,size,count"]
+        for m, row in enumerate(table.counts):
+            lines += [f"{m},{n},{k}" for n, k in enumerate(row) if k]
+        _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_flow(args) -> int:
     profile = _parse_profile(args.profile)
-    graph = flow_graph(profile, args.max_weight)
-    _emit(graph.to_dot(), args.out)
+    nodes, edges = flow_graph(profile, args.max_weight)
+    # the nodes share one profile, so a white tuple names one node
+    shapes = {s.white: shape(s) for s in nodes}
+    # nodes in (weight, shape, white) order, edges by their ends' ranks
+    order = sorted(nodes, key=lambda s: (s.weight, shapes[s.white], s.white))
+    rank = {s.white: k for k, s in enumerate(order)}
+    lines = ["digraph sliceflow {"]
+    for k, s in enumerate(order):
+        name = shape_name(shapes[s.white])
+        lines.append(f'  n{k} [label="{name}q^{s.weight}"];')
+    for i, j in sorted((rank[u.white], rank[v.white]) for u, v in edges):
+        lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -165,6 +186,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--z-power applies only to --id gasper")
     if args.format == "csv" and (args.all or (args.id or "").startswith("L")):
         raise UsageError("--format csv applies only to a catalog identity")
+    if args.all and args.id is not None:
+        raise UsageError("verify takes --id or --all, not both")
     lines: list[str] = []
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
@@ -237,6 +260,7 @@ def cmd_decompose(args) -> int:
         raise UsageError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
     cp = validate(profile, rows)
+    gray = baseline(profile)
     lines = []
     for k, s in enumerate(decompose(cp), start=1):
         sh = shape(s)
@@ -244,7 +268,10 @@ def cmd_decompose(args) -> int:
         lines.append(
             f"level {k}: t={s.white} weight={s.weight} shape={sh} term={term}")
         if args.boards:
-            lines.append(board(s).rstrip("\n"))
+            # the board: '.' for gray squares, '#' for white, one line per
+            # row; empty trailing rows print no line
+            lines.append("\n".join(
+                "." * b + "#" * t for b, t in zip(gray, s.white)).rstrip("\n"))
     _emit("\n".join(lines) if lines else "", args.out)
     return 0
 
@@ -355,35 +382,18 @@ def _plain_args(argv: list[str]):
     return SimpleNamespace(**fields)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The cylgf parser; with argv naming a subcommand exactly in argv[0],
-    only that subcommand's parser is built.
-
-    argparse reads the first positional as the subcommand, and the top-level
-    parser has no option that takes a value, so argv[0] is the subcommand
-    whenever it is a command name.  Any other argv (none, -h, --, an unknown
-    or abbreviated name) gets all subparsers, so the help and the errors that
-    list the commands are those of the full parser.  The usage line, which
-    argparse also prints for trailing unknown arguments, names every command
-    either way.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The cylgf parser, one subparser per row of `_COMMANDS`."""
     import argparse
 
     p = argparse.ArgumentParser(
         prog="cylgf",
         description="Generating functions of cylindric partitions, computed "
                     "and cross-checked three independent ways.")
-    rows = [row for row in _COMMANDS if argv and argv[0] == row[0]]
-    metavar = None
-    if rows:
-        metavar = "{" + ",".join(row[0] for row in _COMMANDS) + "}"
-    else:
-        rows = _COMMANDS
     # prog: the subparsers' "cylgf <name>" prefix, which argparse would
     # otherwise work out by formatting a usage line
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar,
-                           prog=p.prog)
-    for name, help_line, options, handler in rows:
+    sub = p.add_subparsers(dest="command", required=True, prog=p.prog)
+    for name, help_line, options, handler in _COMMANDS:
         sp = sub.add_parser(name, help=help_line)
         for flag, _, kind, choices, required, default, help_text in options:
             if kind == "store_true":
@@ -401,7 +411,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
         # argparse turns an explicit `--opt=--` into [] and skips the
         # option's type and choices; no option here takes a list
         for name, value in vars(args).items():

@@ -271,14 +271,6 @@ class RefinedTable(Record):
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "prefixes", prefixes)
 
-    def to_csv(self) -> str:
-        lines = ["max,size,count"]
-        for m in range(self.order + 1):
-            for n in range(self.order + 1):
-                if self.counts[m][n]:
-                    lines.append(f"{m},{n},{self.counts[m][n]}")
-        return "\n".join(lines) + "\n"
-
 
 def enumerate_table(profile: Profile, order: int) -> RefinedTable:
     """Exhaustive refined count by (largest part, size) up to the order.

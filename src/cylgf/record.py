@@ -4,9 +4,10 @@ A record names its fields in `__slots__`, and its `__init__` checks them and
 sets each one once with `object.__setattr__`; assigning or deleting a field
 afterwards raises AttributeError.  `Record` compares and hashes the tuple of
 the compared fields, `_compared`: all of `__slots__` unless the class names
-fewer (`ChainGF` leaves out its four work counters).  Records of two classes
-are never equal.  No command compares or hashes a record, so these generic
-methods cost nothing on a command's path.
+fewer (`ChainGF` leaves out its four work counters, `RefinedTable` its
+`prefixes` count).  Records of two classes are never equal.  No command
+compares or hashes a record, so these generic methods cost nothing on a
+command's path.
 """
 
 

@@ -166,13 +166,6 @@ class Series(Record):
                         out[n] -= out[n - e]
         return Series.from_coeffs(out)
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
-    def to_json_dict(self) -> dict:
-        # decimal strings keep big coefficients exact in any JSON reader
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
 
 def first_mismatch(a: Series, b: Series) -> tuple[int, int, int] | None:
     """(degree, lhs, rhs) at the earliest degree where the two series

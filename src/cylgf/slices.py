@@ -204,39 +204,10 @@ def shape_name(sh: tuple[int, ...]) -> str:
     return chr(ord("a") + k) if k < 26 else f"s{k}"
 
 
-class SliceFlow(Record):
-    """Single-square-addition graph on non-empty valid slices of weight <= bound."""
-
-    __slots__ = ("profile", "max_weight", "nodes", "edges")
-
-    def __init__(self, profile: Profile, max_weight: int,
-                 nodes: tuple[Slice, ...],
-                 edges: tuple[tuple[Slice, Slice], ...]):
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "max_weight", max_weight)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-
-    def to_dot(self) -> str:
-        # the nodes share one profile, so a white tuple names one node
-        shapes = {s.white: shape(s) for s in self.nodes}
-        # nodes in (weight, shape, white) order, edges by their ends' ranks
-        order = sorted(self.nodes,
-                       key=lambda s: (s.weight, shapes[s.white], s.white))
-        rank = {s.white: k for k, s in enumerate(order)}
-        lines = ["digraph sliceflow {"]
-        for k, s in enumerate(order):
-            name = shape_name(shapes[s.white])
-            lines.append(f'  n{k} [label="{name}q^{s.weight}"];')
-        for i, j in sorted((rank[u.white], rank[v.white])
-                           for u, v in self.edges):
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def flow_graph(profile: Profile, max_weight: int) -> SliceFlow:
-    """Nodes sorted by (weight, white tuple); edges add one white square.
+def flow_graph(profile: Profile, max_weight: int):
+    """The single-square-addition graph on the non-empty valid slices of
+    weight <= max_weight: the tuple of nodes, sorted by (weight, white
+    tuple), and the tuple of (u, v) edges, v having one white square more.
 
     One more square in row i of a node t below max_weight gives a node iff
     t_i < t_{i-1} + c_i, cyclically: no other inequality gets tighter.  Only
@@ -256,11 +227,4 @@ def flow_graph(profile: Profile, max_weight: int) -> SliceFlow:
                 if t[i] < t[i - 1] + c[i]:
                     v = by_white[t[:i] + (t[i] + 1,) + t[i + 1:]]
                     edges.append((u, v))
-    return SliceFlow(profile, max_weight, tuple(nodes), tuple(edges))
-
-
-def board(s: Slice) -> str:
-    """ASCII Ferrers board: '.' for gray squares, '#' for white."""
-    b = baseline(s.profile)
-    lines = ["." * b[i] + "#" * s.white[i] for i in range(s.profile.rank)]
-    return "\n".join(lines) + "\n"
+    return tuple(nodes), tuple(edges)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylgf.cli import main
 from cylgf.cylindric import (InequalityError, PartitionError, Profile,
                              ProfileError, RowError, enumerate_table,
                              iter_partitions, validate)
@@ -186,8 +187,9 @@ class TestEnumerate:
         for cp in iter_partitions(Profile((1, 0, 1)), 6):
             validate(cp.profile, cp.rows)  # must not raise
 
-    def test_csv(self):
-        text = enumerate_table(Profile((1, 1)), 2).to_csv()
+    def test_csv(self, capsys):
+        assert main(["count", "--profile", "1,1", "--order", "2"]) == 0
+        text = capsys.readouterr().out
         assert text == "max,size,count\n0,0,1\n1,1,2\n1,2,1\n2,2,2\n"
 
     def test_cyclic_shift_invariance_of_refined_tables(self):

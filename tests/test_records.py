@@ -1,15 +1,12 @@
-"""The nine records: equality, hashing, immutability and keyword construction."""
+"""The eight records: equality, hashing, immutability and keyword
+construction."""
 import pytest
 
 from cylgf.cylindric import CylindricPartition, Profile, RefinedTable
 from cylgf.genfun import ChainGF
 from cylgf.lemmas import NestedSumSpec
 from cylgf.series import UNBOUNDED, PochSpec, Series
-from cylgf.slices import Slice, SliceFlow
-
-
-def _slice(white):
-    return Slice(Profile((2, 1)), white)
+from cylgf.slices import Slice
 
 
 #: class -> (fields by keyword, built afresh on each call; one change per
@@ -46,13 +43,6 @@ RECORDS = {
     Slice: (lambda: dict(profile=Profile((2, 1)), white=(1, 0)),
             [dict(profile=Profile((1, 2))), dict(white=(0, 1))],
             {}),
-    SliceFlow: (
-        lambda: dict(profile=Profile((2, 1)), max_weight=1,
-                     nodes=(_slice((1, 0)), _slice((0, 1))), edges=()),
-        [dict(profile=Profile((1, 2))), dict(max_weight=2),
-         dict(nodes=(_slice((1, 0)),)),
-         dict(edges=((_slice((1, 0)), _slice((1, 1))),))],
-        {}),
 }
 
 

@@ -1,4 +1,5 @@
 """Tests for exact truncated series arithmetic and Pochhammer products."""
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgf import genfun, series
+from cylgf.cli import main
 from cylgf.cylindric import Profile
 from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
 from cylgf.lemmas import _ratio
@@ -423,13 +425,15 @@ class TestMisc:
         assert bad == (1, 1, 2) and type(bad) is tuple
         assert first_mismatch(a, a) is None
 
-    def test_str(self):
-        assert str(Series.from_coeffs([1, 0, Fraction(1, 2)])) == "[1, 0, 1/2]"
-
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, capsys, monkeypatch):
+        # expand --format json writes each coefficient as a decimal string,
+        # exact for halves and big integers alike
         s = Series.from_coeffs([1, Fraction(-3, 7), 10 ** 30])
-        assert s.to_json_dict() == {"order": 2,
-                                    "coeffs": ["1", "-3/7", str(10 ** 30)]}
+        monkeypatch.setattr(genfun, "borodin", lambda profile, order: s)
+        assert main(["expand", "--profile", "1,1", "--order", "2",
+                     "--method", "borodin", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "order": 2, "coeffs": ["1", "-3/7", str(10 ** 30)]}
 
     def test_monomial(self):
         assert Series.monomial(2, 4).coeffs == (0, 0, 1, 0, 0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
-from cylgf.slices import (Slice, SliceError, baseline, board, contains,
+from cylgf.cli import main
+from cylgf.slices import (Slice, SliceError, baseline, contains,
                           decompose, flow_graph, iter_slices, min_slices,
                           shape, shape_difference, shape_floors, shape_name)
 from reference import comb_shape_name, recompose
@@ -257,8 +258,8 @@ class TestCensus:
 
 class TestFlowGraph:
     def test_profile_2_1_weight_4(self):
-        g = flow_graph(Profile((2, 1)), 4)
-        edges = {(u.white, v.white) for u, v in g.edges}
+        _, edges = flow_graph(Profile((2, 1)), 4)
+        edges = {(u.white, v.white) for u, v in edges}
         assert edges == {
             ((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (2, 0)),
             ((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 0), (2, 1)),
@@ -266,8 +267,8 @@ class TestFlowGraph:
         }
 
     def test_profile_1_1_weight_4(self):
-        g = flow_graph(Profile((1, 1)), 4)
-        edges = {(u.white, v.white) for u, v in g.edges}
+        _, edges = flow_graph(Profile((1, 1)), 4)
+        edges = {(u.white, v.white) for u, v in edges}
         assert edges == {
             ((0, 1), (1, 1)), ((1, 0), (1, 1)),
             ((1, 1), (1, 2)), ((1, 1), (2, 1)),
@@ -275,13 +276,13 @@ class TestFlowGraph:
         }
 
     def test_weight_one_is_edgeless(self):
-        g = flow_graph(Profile((2, 1)), 1)
-        assert g.edges == ()
-        assert all(s.weight == 1 for s in g.nodes)
+        nodes, edges = flow_graph(Profile((2, 1)), 1)
+        assert edges == ()
+        assert all(s.weight == 1 for s in nodes)
 
     def test_edges_increase_weight_by_one(self):
-        g = flow_graph(Profile((1, 0, 1)), 6)
-        for u, v in g.edges:
+        _, edges = flow_graph(Profile((1, 0, 1)), 6)
+        for u, v in edges:
             assert v.weight == u.weight + 1
             assert sum(abs(a - b) for a, b in zip(u.white, v.white)) == 1
 
@@ -293,14 +294,14 @@ class TestFlowGraph:
             for parts in itertools.product(range(4), repeat=rank):
                 if not 1 <= sum(parts) <= 3:
                     continue
-                g = flow_graph(Profile(parts), 6)
+                nodes, edges = flow_graph(Profile(parts), 6)
                 by_weight = {}
-                for s in g.nodes:
+                for s in nodes:
                     by_weight.setdefault(s.weight, []).append(s.white)
                 pairs = {(u, v) for w, low in by_weight.items()
                          for u in low for v in by_weight.get(w + 1, ())
                          if all(a <= b for a, b in zip(u, v))}
-                edges = [(u.white, v.white) for u, v in g.edges]
+                edges = [(u.white, v.white) for u, v in edges]
                 assert len(edges) == len(pairs), parts
                 assert set(edges) == pairs, parts
 
@@ -309,24 +310,25 @@ class TestFlowGraph:
         # with reachability along single-square additions
         for parts in [(1, 1), (2, 1), (1, 1, 1), (2, 0)]:
             profile = Profile(parts)
-            g = flow_graph(profile, 12)
+            nodes, edges = flow_graph(profile, 12)
             succ = {}
-            for u, v in g.edges:
+            for u, v in edges:
                 succ.setdefault(u, set()).add(v)
             reach = {}
-            for u in sorted(g.nodes, key=lambda s: -s.weight):
+            for u in sorted(nodes, key=lambda s: -s.weight):
                 acc = set()
                 for v in succ.get(u, ()):
                     acc.add(v)
                     acc |= reach[v]
                 reach[u] = acc
-            for u in g.nodes:
-                for v in g.nodes:
+            for u in nodes:
+                for v in nodes:
                     if v.weight > u.weight:
                         assert contains(u, v) == (v in reach[u]), (u, v)
 
-    def test_dot_output(self):
-        text = flow_graph(Profile((1, 1)), 2).to_dot()
+    def test_dot_output(self, capsys):
+        assert main(["flow", "--profile", "1,1", "--max-weight", "2"]) == 0
+        text = capsys.readouterr().out
         assert text.startswith("digraph sliceflow {")
         assert text.endswith("}\n")
         # shape (1,) gets letter b under the alphabetical-by-tuple convention
@@ -402,5 +404,10 @@ class TestDisplay:
         # a jump of 10^14 after a term is one binomial, not 10^14 steps
         assert shape_name((10 ** 14, 1)) == f"s{comb(10 ** 14 + 1, 2) + 1}"
 
-    def test_board(self):
-        assert board(Slice(Profile((2, 1)), (0, 1))) == "...\n..#\n"
+    def test_board(self, capsys):
+        # the one level slice of this partition is t = (0, 1); its board has
+        # gray rows (3, 2)
+        argv = ["decompose", "--json", '{"profile":[2,1],"rows":[[],[1]]}',
+                "--boards"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["...", "..#"]
