@@ -7,8 +7,10 @@
   prints only F_c(1, q).
 * catalog_sides: a table of named series identities, one row per tag
   (the lemma tags L4.x, L5.x belong to `lemmas`), read by one evaluator.
-  Each sum is kept by its term ratio and built term from previous term;
-  both sides are expanded so they can be compared coefficient by coefficient.
+  Each sum is kept by its term ratio and built term from previous term,
+  starting from the row's outer product, which `product_expr` expands once;
+  the right-hand side is `product_expr` alone.  Both sides are expanded so
+  they can be compared coefficient by coefficient.
 """
 from __future__ import annotations
 
@@ -187,7 +189,7 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
 
 
 # --- identity catalog ------------------------------------------------------
-# A row of _CATALOG is (sum or None, lhs numerator, lhs denominator, rhs
+# A row of _CATALOG is (sum or None, outer numerator, outer denominator, rhs
 # denominator), a product (sign, start, step) being PochSpec(sign, start,
 # step), and a sum the keyword arguments of _sum_series.  A sum family
 # (sign, start, step, offset) is PochSpec(sign, start, step, n + offset) in
@@ -196,18 +198,28 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
 
 
 def _sum_series(order: int, degree, num=(), den=(), first=0, coeff=1,
-                lead=0) -> Series:
-    """lead + sum_{n >= first} coeff q^degree(n) prod num / prod den, up to
-    its first term of degree past the order (degree increases): term
-    `first` whole, then one `times` pass per term."""
+                lead=0, outer: Series | None = None) -> Series:
+    """outer * (lead + sum_{n >= first} coeff q^degree(n) prod num / prod
+    den), up to its first term of degree past the order (degree increases);
+    no outer means 1.  Multiplying by outer commutes with the step from one
+    term to the next, so the sum starts from it: lead*outer, then term
+    `first` as coeff q^degree(first) outer times its factors, then one
+    `times` pass per new factor of each later term."""
     def factors(n, new):
         return [[PochSpec(g, a + (n + off - 1) * k, k, 1) if new
                  else PochSpec(g, a, k, n + off) for g, a, k, off in fams]
                 for fams in (num, den)]
 
-    acc = Series.monomial(0, order, lead)
+    base = (outer or Series.monomial(0, order)).coeffs
+
+    def start(shift, scale):  # scale q^shift outer
+        shift = min(shift, order + 1)
+        return Series(order, (0,) * shift + tuple(
+            scale * c for c in base[:order + 1 - shift]))
+
+    acc = start(0, lead)
     n, deg = first, degree(first)
-    term = Series.monomial(deg, order, coeff).times(*factors(n, False))
+    term = start(deg, coeff).times(*factors(n, False))
     while deg <= order:
         acc = acc + term
         n += 1
@@ -257,8 +269,10 @@ def catalog_sides(tag: str, order: int, z_power: int | None = None):
         raise UnknownIdentityError(f"unknown identity tag {tag!r}")
     total, num, den, rhs = _CATALOG[tag]
     num, den = [PochSpec(*f) for f in num], [PochSpec(*f) for f in den]
-    lhs = (product_expr(num, den, order) if total is None
-           else _sum_series(order, **total).times(num, den))
+    # rows without outer factors skip the empty product_expr: at q^300 it
+    # takes about 0.8 ms, against 1.8 ms for both sides of A1
+    outer = product_expr(num, den, order) if num or den else None
+    lhs = outer if total is None else _sum_series(order, outer=outer, **total)
     return lhs, product_expr([], [PochSpec(*f) for f in rhs], order)
 
 

@@ -18,12 +18,15 @@ runs the plain recurrence, L(L+1)/2 multiply-adds, and what each solved
 half adds to the half after it is one big-int product of two
 Kronecker-packed blocks.  Below the cut, packing costs more than the
 product saves, so an order below it runs the plain recurrence alone.
-Series.times multiplies an arbitrary series by a few factors, with one
-in-place pass per factor.  The general ring operations `*` and `invert`
-are on no product path of the package: they stay as the slow reference
-the tests compare both kernels against, and the benchmark's tracer wraps
-them by name.  `first_mismatch` reports where two series first differ as a
-plain (degree, lhs, rhs) tuple.
+Series.times multiplies an arbitrary series by a few finite factors, with
+one in-place pass per factor: each catalog sum term is the previous one,
+shifted, times one new factor per family.  An infinite product goes to
+product_expr, the catalog's outer products included, which its sums start
+from.  The general ring operations `*` and `invert` are on no product path
+of the package: they stay as the slow reference the tests compare both
+kernels against, and the benchmark's tracer wraps them by name.
+`first_mismatch` reports where two series first differ as a plain
+(degree, lhs, rhs) tuple.
 """
 from __future__ import annotations
 
@@ -241,8 +244,9 @@ def product_expr(
     N*_CUT/2 multiply-adds instead of N(N+1)/2.  Below the cut, packing
     costs more than the product saves; an order below it is one leaf, the
     plain recurrence alone.  All arithmetic is on int, whatever the number
-    of factors.  To multiply a series by a few finite factors,
-    `Series.times` is cheaper.
+    of factors.  An infinite product, such as the outer products the
+    catalog's sums start from, is cheaper here than as one `Series.times`
+    pass per factor; a series times a few finite factors is cheaper there.
     """
     a = [0] * (order + 1)
     for side, specs in ((-1, numerator), (1, denominator)):

@@ -300,6 +300,25 @@ class TestCatalog:
             # distinct parts generating function
             assert rhs == pochhammer(PochSpec(-1, 1, 1), order)
 
+    def test_sum_sides_apply_few_factor_passes(self, monkeypatch):
+        # a sum side starts from its outer product (q;q)_oo (-q^a;q^2)_oo,
+        # expanded once by product_expr; one `times` pass per factor of it
+        # would be about 1.5*N passes, 466-497 per sum tag at q^300
+        times = Series.times
+        applied = []
+
+        def counted(self, numerator=(), denominator=()):
+            applied[-1] += sum(len(spec.exponents(self.order))
+                               for spec in (*numerator, *denominator))
+            return times(self, numerator, denominator)
+
+        monkeypatch.setattr(Series, "times", counted)
+        for tag, j in ([(tag, None) for tag in genfun.IDENTITY_TAGS]
+                       + [("gasper", j) for j in (1, 2, 5)]):
+            applied.append(0)
+            catalog_sides(tag, 300, j)
+            assert applied[-1] < 60, (tag, j, applied[-1])
+
     def test_rhs_of_14_is_borodin_product(self):
         lhs, rhs = catalog_sides("1.4", 20)
         assert rhs == borodin(Profile((2, 1)), 20)
