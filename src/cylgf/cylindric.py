@@ -37,8 +37,9 @@ class RowError(PartitionError):
 class InequalityError(PartitionError):
     """First violated cyclic inequality, with 1-based (row, part) position.
 
-    The message is formatted when it is read: most of these errors are
-    raised and caught by callers that only test validity.
+    The message is formatted when it is read: `cmd_decompose` prints it
+    once per job, while the tests' brute-force filters raise and catch these
+    errors by the thousand and never read it.
     """
 
     def __init__(self, row_index: int, part_index: int, lhs: int, rhs: int):
@@ -156,7 +157,9 @@ def _walk(profile: Profile, bound: int, run) -> int:
     must dominate (the cyclic inequality last[j] >= first[j + c_1]).
     `need`, the sum of the first-row parts the last row still has to
     dominate, is the least size the last row must still take, so a prefix
-    that leaves less room than that is cut at once.
+    that leaves less room than that is cut at once.  Below an empty row, a
+    row with c_i = 0 (not the last) must stay empty too, so the walk
+    clears it and jumps over it.
 
     Once `need` is 0 with the last row's next part in place, each value v
     in [lo, hi] of that part ends a partition:
@@ -196,9 +199,13 @@ def _walk(profile: Profile, bound: int, run) -> int:
                 push((i, p1, v, size + v, v if v > largest else largest,
                       need + grow * v))
             # row i ends here: the next row starts empty, and its subtree is
-            # walked before the nodes just pushed, so row i keeps pos parts
+            # walked before the nodes just pushed, so row i keeps pos parts;
+            # below an empty row, each row with c_i = 0 stays empty too
             i += 1
             rows[i].clear()
+            while not pos and i < last and not c[i]:
+                i += 1
+                rows[i].clear()
             pos, cap = 0, bound - size
             continue
         if need:

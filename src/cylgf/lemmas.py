@@ -17,18 +17,20 @@ with K_i = k_1+..+k_i and M_i = m_1+..+m_i.  The closed form telescopes to
     prod_{j=1..M} q^{2j-1+e}/(1+q^{2j+e}) * prod_i q^{2T_i}/(1 - q^{2T_i})
 
 with M = M_n and suffix sums T_i = m_i+..+m_n.  The fixed-k variants keep
-k as an explicit parameter (k >= 0, one block) and assert a partial-fraction
-split instead of a sum.  The fixed-k family-A identity at k = 0 carries the
-one rational factor of the package, 1/(1+q^0) = 1/2.  A spec knows its power
-of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere), and both sides
-are computed as 2^h times their series, so every coefficient stays an int.
+k as an explicit parameter (k >= 0, one block): the sum side is the block's
+term at K = k, and the identity is its partial-fraction split.  One helper,
+`_term`, builds every term of both sides from a single progression of
+denominators (1+q^a)(1+q^(a+2))...  The fixed-k family-A identity at k = 0
+carries the one rational factor of the package, 1/(1+q^0) = 1/2.  A spec
+knows its power of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere),
+and both sides are computed as 2^h times their series, so every coefficient
+stays an int.
 `parse_tag` reads the lemma tags of `cylgf verify --id`, such as "L4.2(2)".
 """
 from __future__ import annotations
 
 import re
 from itertools import accumulate
-from operator import add
 
 from .record import Record
 from .series import PochSpec, Series, first_mismatch
@@ -76,30 +78,27 @@ class NestedSumSpec(Record):
         return int(self.family == "A" and self.fixed_k == 0)
 
 
-def _ratio(degree: int, plus_exps, minus_exps, order: int,
-           halves: int) -> Series:
-    """2^halves * q^degree / (prod (1+q^d) * prod (1-q^d)) at the order.
+def _term(base: Series, degree: int, start: int, count: int,
+          halves: int = 0, den=()) -> Series:
+    """2^halves q^degree base / ((1+q^start)(1+q^(start+2)) ... (count
+    factors) * prod(den)) at the order of base, den a list of PochSpecs.
 
-    Each (1+q^0) = 2 stays out of the int kernel `Series.times` and lowers
-    the power of two of the monomial instead; `halves` is at least the
-    number of such factors, so the coefficient 2^(halves - zeros) is an int
-    (a shift: a negative exponent would raise, not make a float).
-    The exponents may be ranges: past the order the result is zero and they
-    are not read, so a block of 10^8 factors costs nothing.
+    A factor (1+q^0) = 2 stays out of the int kernel `Series.times` and
+    comes off the power of two instead: only fixed-k family A at k = 0
+    starts at 0, and its h = 1, so the coefficient stays an int.  Past the
+    order the result is zero and nothing is expanded, so a block of 10^8
+    factors costs nothing.
     """
-    if 0 in minus_exps:
-        raise LemmaSpecError("denominator factor (1 - q^0) vanishes")
+    order = base.order
     if degree > order:
         return Series.zero(order)
-    den = [PochSpec(-1, d, 1, 1) for d in plus_exps if d != 0]
-    den += [PochSpec(1, d, 1, 1) for d in minus_exps]
-    coeff = 1 << (halves - plus_exps.count(0))
-    return Series.monomial(degree, order, coeff).times((), den)
-
-
-def _sum_by_twos(first: int, count: int) -> int:
-    """first + (first + 2) + ... + (first + 2*(count - 1))."""
-    return count * (first + count - 1)
+    if start == 0:
+        start, count, halves = 2, count - 1, halves - 1
+    head = base.coeffs[:order + 1 - degree]
+    if halves:
+        head = [c << halves for c in head]
+    return Series(order, (0,) * degree + tuple(head)).times(
+        (), [PochSpec(-1, start, 2, count), *den])
 
 
 def nested_sum(spec: NestedSumSpec, order: int) -> Series:
@@ -113,25 +112,26 @@ def nested_sum(spec: NestedSumSpec, order: int) -> Series:
     degree) divided by the block's denominators (1 + q^(2K+2M_{i-1}+e+2j)),
     j = 0..m_i.  K_i runs from i until the least degree of any full term
     with that K_i (K_j = j before it, K_i + j - i after it) exceeds the
-    order.  Only fixed-k specs have h > 0.
+    order.  A fixed-k spec is the one block's term at K = k, and only it
+    has h > 0.
     """
-    e = spec.offset
     blocks = spec.blocks
-
-    if spec.fixed_k is not None:
-        # the block at base 2k: numerators q^(2k+2j-1+e), j = 1..m, and
-        # denominators (1 + q^(2k+2j+e)), j = 0..m
-        base, m = 2 * spec.fixed_k + e, blocks[0]
-        return _ratio(_sum_by_twos(base + 1, m),
-                      range(base, base + 2 * m + 1, 2), (), order, spec.halves)
-
-    bases = [2 * before + e for before in accumulate(blocks[:-1], initial=0)]
+    bases = [2 * before + spec.offset
+             for before in accumulate(blocks[:-1], initial=0)]
     tails = list(accumulate(reversed(blocks)))[::-1]
 
     def degree(i: int, k: int) -> int:
         """Numerator degree of block i at K_i = k."""
-        m = blocks[i]
-        return m * (2 * k + bases[i]) + m * m
+        return blocks[i] * (2 * k + bases[i] + blocks[i])
+
+    def term(prefix: Series, i: int, k: int, halves: int = 0) -> Series:
+        """Block i at K_i = k times the prefix."""
+        return _term(prefix, degree(i, k), 2 * k + bases[i], blocks[i] + 1,
+                     halves)
+
+    one = Series.monomial(0, order)
+    if spec.fixed_k is not None:
+        return term(one, 0, spec.fixed_k, spec.halves)
 
     # the least term, K_j = j for every j, has degree low; with K_i = k it
     # gains 2 (k - i) T_i, T_i = m_i + ... + m_n (i counted from 1 here)
@@ -139,46 +139,37 @@ def nested_sum(spec: NestedSumSpec, order: int) -> Series:
     if low > order:
         return Series.zero(order)
 
-    # (K, coefficients) of the previous block's terms; the empty block is 1
-    # at K = 0.  Prefix sums stay plain lists, added in C by map(add, ...).
-    terms = [(0, (1,) + (0,) * order)]
-    for i, m in enumerate(blocks):
-        prefix, done, out = [0] * (order + 1), 0, []
+    # (K, term) of the previous block; the empty block is 1 at K = 0
+    terms = [(0, one)]
+    for i in range(len(blocks)):
+        prefix, done, out = Series.zero(order), 0, []
         k = i + 1
         while low + 2 * (k - i - 1) * tails[i] <= order:
             while done < len(terms) and terms[done][0] < k:
-                prefix = list(map(add, prefix, terms[done][1]))
+                prefix = prefix + terms[done][1]
                 done += 1
-            d = min(degree(i, k), order + 1)
-            shifted = Series(order, (0,) * d + tuple(prefix[:order + 1 - d]))
-            den = PochSpec(-1, 2 * k + bases[i], 2, m + 1)
-            out.append((k, shifted.times((), [den]).coeffs))
+            out.append((k, term(prefix, i, k)))
             k += 1
         terms = out
-    total = [0] * (order + 1)
-    for _, coeffs in terms:
-        total = list(map(add, total, coeffs))
-    return Series.from_coeffs(total)
+    return sum((series for _, series in terms), Series.zero(order))
 
 
 def closed_form(spec: NestedSumSpec, order: int) -> Series:
     """2^h times the telescoped right-hand side matching nested_sum."""
-    e = spec.offset
+    e, one = spec.offset, Series.monomial(0, order)
     if spec.fixed_k is not None:
-        # numerators q^1 and q^(2k+2j-1+e), j = 2..m; denominators
-        # (1 + q^(2k+2j+e)) over j = 1..m (high) or j = 0..m-1 (low)
+        # numerators q^1 and q^(2k+2j-1+e), j = 2..m, over (1 - q^(2m)) and
+        # (1 + q^(2k+2j+e)) for j = 1..m (high) or j = 0..m-1 (low)
         base, m = 2 * spec.fixed_k + e, spec.blocks[0]
-        degree = 1 + _sum_by_twos(base + 3, m - 1)
-        d_low = range(base, base + 2 * m, 2)
-        d_high = range(base + 2, base + 2 * m + 1, 2)
-        return (_ratio(degree, d_high, [2 * m], order, spec.halves)
-                - _ratio(degree, d_low, [2 * m], order, spec.halves))
+        degree, den = 1 + (m - 1) * (base + m + 1), [PochSpec(1, 2 * m, 1, 1)]
+        return (_term(one, degree, base + 2, m, spec.halves, den)
+                - _term(one, degree, base, m, spec.halves, den))
     # numerators q^(2j-1+e), j = 1..M, and q^(2 T_i); denominators
     # (1 + q^(2j+e)), j = 1..M, and (1 - q^(2 T_i))
     total = sum(spec.blocks)
-    minus = [2 * tail for tail in accumulate(reversed(spec.blocks))][::-1]
-    return _ratio(_sum_by_twos(1 + e, total) + sum(minus),
-                  range(2 + e, 2 * total + e + 1, 2), minus, order, spec.halves)
+    minus = [2 * tail for tail in accumulate(reversed(spec.blocks))]
+    return _term(one, total * (total + e) + sum(minus), 2 + e, total,
+                 den=[PochSpec(1, x, 1, 1) for x in minus])
 
 
 def verify_lemma(spec: NestedSumSpec, order: int):

@@ -30,7 +30,7 @@ kernels against, and the benchmark's tracer wraps them by name.
 """
 from __future__ import annotations
 
-from operator import add, mul
+from operator import add, mul, sub
 
 from .record import Record
 
@@ -95,11 +95,11 @@ class Series(Record):
 
     def __add__(self, other: Series) -> Series:
         self._check_order(other)
-        return Series.from_coeffs(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return Series(self.order, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: Series) -> Series:
         self._check_order(other)
-        return Series.from_coeffs(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return Series(self.order, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: Series) -> Series:
         self._check_order(other)

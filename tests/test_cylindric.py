@@ -257,3 +257,13 @@ class TestEnumerate:
         # partitions qualify
         marginal = Series.from_coeffs(map(sum, zip(*table.counts)))
         assert marginal.coeffs == (1, 1, 2, 3, 5, 7, 11)
+
+    def test_walk_skips_rows_that_stay_empty(self):
+        # below an empty row, a row with c_i = 0 must stay empty, so the walk
+        # jumps over it: at rank 1,600 with one part 10^8 it enters a few
+        # prefixes per partition, not about one per row of each of them
+        parts = (10 ** 8,) + (0,) * 1599
+        table = enumerate_table(Profile(parts), 10)
+        partitions = sum(map(sum, table.counts))
+        assert partitions == 1124
+        assert table.prefixes < 4 * partitions

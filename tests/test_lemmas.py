@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from cylgf.cli import _lemma_line
-from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, _ratio, closed_form,
+from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, _term, closed_form,
                           grid, nested_sum, verify_lemma)
 from cylgf.series import PochSpec, Series
 
@@ -88,13 +88,11 @@ class TestFixedK:
         assert all(type(c) is int for c in lhs.coeffs)
         assert all(type(c) is int for c in closed_form(spec, n).coeffs)
         assert verify_lemma(spec, n) is None
-        # _ratio takes a (1+q^0) off the 2^h itself; the series kernels take
+        # _term takes a (1+q^0) off the 2^h itself; the series kernels take
         # e >= 1.  2 / ((1 + q^0)(1 + q^2)) = 1 - q^2 + q^4 - ...
-        r = _ratio(0, [0, 2], [], 4, 1)
+        r = _term(Series.monomial(0, 4), 0, 0, 2, 1)
         assert r.coeffs == (1, 0, -1, 0, 1)
         assert all(type(c) is int for c in r.coeffs)
-        with pytest.raises(LemmaSpecError, match="vanishes"):
-            _ratio(1, [2], [0], 4, 0)
 
     def test_family_a_single_term(self):
         # q^{2k+1} / ((1+q^{2k})(1+q^{2k+2})) at k=2
@@ -104,6 +102,18 @@ class TestFixedK:
         den = one_plus_q(4, n) * one_plus_q(6, n)
         assert lhs == den.invert() * Series.monomial(5, n)
         assert verify_lemma(spec, n) is None
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fixed_terms_sum_to_chain_pass(self, family, m):
+        # the one-block sum over k >= 1 is the sum of its fixed-k terms, so
+        # both sides build the same block term
+        for n in (0, 5, 17, 40):
+            total = Series.zero(n)
+            for k in range(1, n + 2):
+                total = total + nested_sum(
+                    NestedSumSpec(family, (m,), fixed_k=k), n)
+            assert total == nested_sum(NestedSumSpec(family, (m,)), n), n
 
     @pytest.mark.parametrize("family", ["A", "B"])
     @pytest.mark.parametrize("k", range(7))

@@ -11,7 +11,7 @@ from cylgf import genfun, series
 from cylgf.cli import main
 from cylgf.cylindric import Profile
 from cylgf.genfun import IDENTITY_TAGS, borodin_specs, catalog_sides
-from cylgf.lemmas import _ratio
+from cylgf.lemmas import _term
 from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpec,
                           PochSpecError, Series, UNBOUNDED, first_mismatch,
                           pochhammer, product_expr)
@@ -279,12 +279,12 @@ class TestTimes:
 
     def test_one_plus_q0_denominator_gives_halves(self):
         # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2: the kernel
-        # takes the (1 + q^2) on int, and lemmas._ratio, given h = 1, returns
+        # takes the (1 + q^2) on int, and lemmas._term, given h = 1, returns
         # 2^h times the ratio, so the (1 + q^0) cancels the 2 and stays int
         s = product_expr([], [PochSpec(-1, 2, 2, count=1)], 4)
         assert s.coeffs == (1, 0, -1, 0, 1)
         assert all(type(c) is int for c in s.coeffs)
-        r = _ratio(0, [0, 2], [], 4, 1)
+        r = _term(Series.monomial(0, 4), 0, 0, 2, 1)
         assert r.coeffs == (1, 0, -1, 0, 1)
         assert all(type(c) is int for c in r.coeffs)
 
