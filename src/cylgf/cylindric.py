@@ -79,14 +79,6 @@ class Profile(Record):
     def t(self) -> int:
         return self.rank + self.level
 
-    def partial_sum(self, i: int, j: int) -> int:
-        """s(i, j) = c_i + ... + c_j, 1-based inclusive; empty when i > j."""
-        if i > j:
-            return 0
-        if not (1 <= i and j <= self.rank):
-            raise IndexError(f"s({i},{j}) out of range for rank {self.rank}")
-        return sum(self.parts[i - 1 : j])
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.parts) + ")"
 
@@ -158,21 +150,27 @@ def _walk(profile: Profile, bound: int, run) -> int:
     `need`, the sum of the first-row parts the last row still has to
     dominate, is the least size the last row must still take, so a prefix
     that leaves less room than that is cut at once.  Below an empty row, a
-    row with c_i = 0 (not the last) must stay empty too, so the walk
-    clears it and jumps over it.
+    row with c_i = 0 (not the last) must stay empty too, so the walk jumps
+    over all such rows at once and clears only the last, which it reads.
 
     Once `need` is 0 with the last row's next part in place, each value v
     in [lo, hi] of that part ends a partition:
     run(rows, largest, size, lo, hi) reports them all at once, and the walk
-    enters only the v that leave room for one more part.  `rows`, `largest` and `size` describe the
-    prefix without v; a partition whose last row is empty is the run
-    lo = hi = 0, where a part 0 is no part.  `rows` is the walk's own list
-    of part lists: read it during the call, do not keep it.
+    enters only the v that leave room for one more part.  `rows`, `largest`
+    and `size` describe the prefix without v; a partition whose last row is
+    empty is the run lo = hi = 0, where a part 0 is no part.  `rows` is the
+    walk's own list of part lists: read it during the call, do not keep it.
+    A row jumped over is empty, whatever its list holds.
     """
     c = profile.parts
     last, lift, shift = len(c) - 1, c[0], c[-1]
     rows: list[list[int]] = [[] for _ in c]
     first, above = rows[0], rows[-2] if last else None
+    # skip[i]: the first row from row i on with c > 0, or the last row
+    skip = list(range(len(c)))
+    for k in range(last - 1, 0, -1):
+        if not c[k]:
+            skip[k] = skip[k + 1]
     # a stacked node (i, pos, cap, size, largest, need) holds pos parts in
     # row i, the last of them cap; the node taken next is kept unpacked
     stack: list[tuple[int, ...]] = []
@@ -200,12 +198,13 @@ def _walk(profile: Profile, bound: int, run) -> int:
                       need + grow * v))
             # row i ends here: the next row starts empty, and its subtree is
             # walked before the nodes just pushed, so row i keeps pos parts;
-            # below an empty row, each row with c_i = 0 stays empty too
-            i += 1
-            rows[i].clear()
-            while not pos and i < last and not c[i]:
+            # below an empty row, jump over the rows with c_i = 0
+            if pos:
                 i += 1
-                rows[i].clear()
+            else:
+                i = skip[i + 1]
+                rows[i - 1].clear()
+            rows[i].clear()
             pos, cap = 0, bound - size
             continue
         if need:
@@ -249,10 +248,14 @@ def _walk(profile: Profile, bound: int, run) -> int:
 def iter_partitions(profile: Profile, bound: int) -> list[CylindricPartition]:
     """All cylindric partitions with size <= bound, from the same walk as
     enumerate_table, each run expanded."""
-    found = []
+    c, found = profile.parts, []
 
     def run(rows, largest, size, lo, hi):
-        head, tail = tuple(map(tuple, rows[:-1])), tuple(rows[-1])
+        head = []
+        for k, row in enumerate(rows[:-1]):
+            # a row jumped over: c_k = 0 below an empty row
+            head.append(() if k and not c[k] and not head[-1] else tuple(row))
+        head, tail = tuple(head), tuple(rows[-1])
         for v in range(lo, hi + 1):
             found.append(CylindricPartition(
                 profile, head + (tail + (v,) if v else tail,)))

@@ -33,22 +33,23 @@ def borodin_specs(profile: Profile) -> list[PochSpec]:
 
     One factor (q^t; q^t) plus, for every admissible (i, j, m) in the two
     triple products, a factor (q^e; q^t) whose exponent e is checked to be
-    at least 1; empty partial sums s(i, j) with i > j contribute 0.
+    at least 1.  The partial sums s(i, j) = c_i + ... + c_j come off the
+    gray rows b_i (`slices.baseline`): s(i+1, j) = b_i - b_j, s(j, i-1) =
+    b_{j-1} - b_{i-1}.
     """
     c = profile.parts
     r = profile.rank
     t = profile.t
-    s = profile.partial_sum
+    b = (0,) + baseline(profile)  # b[i] = b_i, 1-based
     exps = [t]
     for i in range(1, r + 1):
         for j in range(i, r + 1):
-            inner = s(i + 1, j) if i + 1 <= j else 0
             for m in range(1, c[i - 1] + 1):
-                exps.append(m + j - i + inner)
+                exps.append(m + j - i + b[i] - b[j])
     for i in range(2, r + 1):
         for j in range(2, i + 1):
             for m in range(1, c[i - 1] + 1):
-                exps.append(t - m + j - i - s(j, i - 1))
+                exps.append(t - m + j - i - b[j - 1] + b[i - 1])
     for e in exps:
         if e < 1:
             raise FormulaError(
@@ -194,7 +195,7 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
 # step), and a sum the keyword arguments of _sum_series.  A sum family
 # (sign, start, step, offset) is PochSpec(sign, start, step, n + offset) in
 # term n, so term n is term n - 1 shifted by degree(n) - degree(n - 1) and
-# times one factor of exponent start + (n + offset - 1)*step.
+# times one factor of exponent start + (n + offset - 1)*step: one `times` call.
 
 
 def _sum_series(order: int, degree, num=(), den=(), first=0, coeff=1,
@@ -202,31 +203,26 @@ def _sum_series(order: int, degree, num=(), den=(), first=0, coeff=1,
     """outer * (lead + sum_{n >= first} coeff q^degree(n) prod num / prod
     den), up to its first term of degree past the order (degree increases);
     no outer means 1.  Multiplying by outer commutes with the step from one
-    term to the next, so the sum starts from it: lead*outer, then term
-    `first` as coeff q^degree(first) outer times its factors, then one
-    `times` pass per new factor of each later term."""
-    def factors(n, new):
-        return [[PochSpec(g, a + (n + off - 1) * k, k, 1) if new
-                 else PochSpec(g, a, k, n + off) for g, a, k, off in fams]
+    term to the next, so the sum starts from it.  lead*outer and every term
+    are one `times` call each: term `first` is coeff q^degree(first) outer
+    times its factors, a later term the one before, shifted, times the
+    factors it gains."""
+    def factors(n):
+        # the factor each family gains at term n, if n + offset >= 1; every
+        # family has 0 or 1 factors at term `first`, so this builds it too
+        return [[PochSpec(g, a + (n + off - 1) * k, k, 1)
+                 for g, a, k, off in fams if n + off >= 1]
                 for fams in (num, den)]
 
-    base = (outer or Series.monomial(0, order)).coeffs
-
-    def start(shift, scale):  # scale q^shift outer
-        shift = min(shift, order + 1)
-        return Series(order, (0,) * shift + tuple(
-            scale * c for c in base[:order + 1 - shift]))
-
-    acc = start(0, lead)
+    base = outer or Series.monomial(0, order)
+    acc = base.times(scale=lead)
     n, deg = first, degree(first)
-    term = start(deg, coeff).times(*factors(n, False))
+    term = base.times(*factors(n), deg, coeff)
     while deg <= order:
         acc = acc + term
         n += 1
         shift, deg = degree(n) - deg, degree(n)
-        if deg <= order:
-            coeffs = (0,) * shift + term.coeffs[:order + 1 - shift]
-            term = Series(order, coeffs).times(*factors(n, True))
+        term = term.times(*factors(n), shift)
     return acc
 
 

@@ -81,24 +81,18 @@ class NestedSumSpec(Record):
 def _term(base: Series, degree: int, start: int, count: int,
           halves: int = 0, den=()) -> Series:
     """2^halves q^degree base / ((1+q^start)(1+q^(start+2)) ... (count
-    factors) * prod(den)) at the order of base, den a list of PochSpecs.
+    factors) * prod(den)), den a list of PochSpecs: one `Series.times` call.
 
     A factor (1+q^0) = 2 stays out of the int kernel `Series.times` and
     comes off the power of two instead: only fixed-k family A at k = 0
     starts at 0, and its h = 1, so the coefficient stays an int.  Past the
-    order the result is zero and nothing is expanded, so a block of 10^8
-    factors costs nothing.
+    order `times` returns the zero series and expands nothing, so a block
+    of 10^8 factors costs nothing.
     """
-    order = base.order
-    if degree > order:
-        return Series.zero(order)
     if start == 0:
         start, count, halves = 2, count - 1, halves - 1
-    head = base.coeffs[:order + 1 - degree]
-    if halves:
-        head = [c << halves for c in head]
-    return Series(order, (0,) * degree + tuple(head)).times(
-        (), [PochSpec(-1, start, 2, count), *den])
+    return base.times((), [PochSpec(-1, start, 2, count), *den], degree,
+                      1 << halves)
 
 
 def nested_sum(spec: NestedSumSpec, order: int) -> Series:

@@ -18,12 +18,12 @@ runs the plain recurrence, L(L+1)/2 multiply-adds, and what each solved
 half adds to the half after it is one big-int product of two
 Kronecker-packed blocks.  Below the cut, packing costs more than the
 product saves, so an order below it runs the plain recurrence alone.
-Series.times multiplies an arbitrary series by a few finite factors, with
-one in-place pass per factor: each catalog sum term is the previous one,
-shifted, times one new factor per family.  An infinite product goes to
-product_expr, the catalog's outer products included, which its sums start
-from.  The general ring operations `*` and `invert` are on no product path
-of the package: they stay as the slow reference the tests compare both
+Series.times forms every sum term of the package, catalog and lemma alike,
+in one call: scale * q^shift * self times a few finite factors, one
+in-place pass per factor.  An infinite product goes to product_expr, the
+catalog's outer products included, which its sums start from.  The
+general ring operations `*` and `invert` are on no product path of the
+package: they stay as the slow reference the tests compare both
 kernels against, and the benchmark's tracer wraps them by name.
 `first_mismatch` reports where two series first differ as a plain
 (degree, lhs, rhs) tuple.
@@ -80,11 +80,11 @@ class Series(Record):
         return cls(order, (0,) * (order + 1))
 
     @classmethod
-    def monomial(cls, exponent: int, order: int, coeff: int = 1) -> Series:
+    def monomial(cls, exponent: int, order: int) -> Series:
         if exponent > order:
             return cls.zero(order)
         c = [0] * (order + 1)
-        c[exponent] = coeff
+        c[exponent] = 1
         return cls(order, tuple(c))
 
     def _check_order(self, other: Series):
@@ -136,19 +136,25 @@ class Series(Record):
                 b[k] = -b0 * acc
         return Series.from_coeffs(b)
 
-    def times(self, numerator=(), denominator=()) -> Series:
-        """self * prod(numerator) / prod(denominator) for PochSpec factor lists.
+    def times(self, numerator=(), denominator=(), shift=0, scale=1) -> Series:
+        """scale * q^shift * self * prod(numerator) / prod(denominator) for
+        PochSpec factor lists; the zero series once shift passes the order.
 
-        Each factor (1 - s*q^e), e >= 1, is applied in place on the
-        coefficient list: a numerator factor by the downward recurrence
-        out[n] -= s*out[n-e], a denominator factor by the upward recurrence
-        out[n] += s*out[n-e]; int coefficients stay int.
+        The shifted, scaled coefficients are copied once, then each factor
+        (1 - s*q^e), e >= 1, is applied in place: a numerator factor by the
+        downward recurrence out[n] -= s*out[n-e], a denominator factor by the
+        upward recurrence out[n] += s*out[n-e]; int coefficients stay int.
         """
         order = self.order
-        out = list(self.coeffs)
-        # no factor lowers the degree, so coefficients below lo stay zero;
-        # on the zero series lo = order + 1 leaves every pass empty
-        lo = next((n for n, c in enumerate(out) if c != 0), order + 1)
+        head = self.coeffs[:max(order + 1 - shift, 0)]
+        # no factor lowers the degree, so the coefficients below the first
+        # nonzero one stay zero; filter finds it by a C-level scan
+        lead = next(filter(None, head), 0)
+        if not lead:
+            return Series.zero(order)
+        lo = shift + head.index(lead)
+        out = [0] * shift
+        out += head if scale == 1 else [scale * c for c in head]
         # one loop per sign: adding or subtracting is cheaper than
         # multiplying big coefficients by s
         for spec in numerator:
@@ -167,7 +173,7 @@ class Series(Record):
                 else:
                     for n in range(lo + e, order + 1):
                         out[n] -= out[n - e]
-        return Series.from_coeffs(out)
+        return Series(order, tuple(out))
 
 
 def first_mismatch(a: Series, b: Series) -> tuple[int, int, int] | None:

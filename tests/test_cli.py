@@ -172,7 +172,8 @@ class TestVerify:
         # FAIL line divides the two values back: q/2 against 3q/2 at q^1
         real = lemmas.closed_form
         monkeypatch.setattr(lemmas, "closed_form", lambda spec, order:
-                            real(spec, order) + Series.monomial(1, order, 2))
+                            real(spec, order)
+                            + Series.monomial(1, order).times(scale=2))
         code, out, _ = run(capsys, "verify", "--id", "L4.1(0,1)",
                            "--order", "8")
         assert (code, out) == (1, "L4.1(0,1),order=8,FAIL@q^1 lhs=1/2 "

@@ -11,7 +11,7 @@ from cylgf.cylindric import (InequalityError, PartitionError, Profile,
                              ProfileError, RowError, enumerate_table,
                              iter_partitions, validate)
 from cylgf.series import Series
-from reference import walk_table
+from reference import recursive_walk, walk_table
 
 
 def all_profiles(max_t):
@@ -82,12 +82,6 @@ class TestProfile:
     def test_basic_attributes(self):
         p = Profile((2, 1))
         assert (p.rank, p.level, p.t) == (2, 3, 5)
-
-    def test_partial_sums(self):
-        p = Profile((2, 1, 4))
-        assert p.partial_sum(1, 3) == 7
-        assert p.partial_sum(2, 2) == 1
-        assert p.partial_sum(3, 2) == 0  # empty range
 
     def test_rejections(self):
         with pytest.raises(ProfileError):
@@ -249,6 +243,26 @@ class TestEnumerate:
             profile = Profile(orbit[turn:] + orbit[:turn])
             assert (enumerate_table(profile, 10).counts
                     == walk_table(profile, 10)), profile.parts
+
+    @pytest.mark.parametrize("parts", [
+        (1, 0, 0, 0), (0, 2, 0, 0), (2, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1),
+        (1, 1, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0, 0, 1),
+        (0, 0, 2, 0, 0, 0, 0, 0)], ids=str)
+    def test_walk_over_zero_runs_equals_recursive_walk(self, parts):
+        # the walk jumps over the rows with c_i = 0 below an empty row and
+        # leaves their lists stale; neither the partitions listed nor the
+        # table may see it
+        profile, order = Profile(parts), 9
+        expected = Counter()
+
+        def visit(rows, largest, size):
+            expected[tuple(map(tuple, rows))] += 1
+
+        recursive_walk(profile, order, visit)
+        assert (Counter(cp.rows for cp in iter_partitions(profile, order))
+                == expected)
+        assert (enumerate_table(profile, order).counts
+                == walk_table(profile, order))
 
     def test_rank_one_degenerate(self):
         # single row, parts no wider than c_1 apart: lambda_j >= lambda_{j+c_1}

@@ -307,10 +307,10 @@ class TestCatalog:
         times = Series.times
         applied = []
 
-        def counted(self, numerator=(), denominator=()):
+        def counted(self, numerator=(), denominator=(), shift=0, scale=1):
             applied[-1] += sum(len(spec.exponents(self.order))
                                for spec in (*numerator, *denominator))
-            return times(self, numerator, denominator)
+            return times(self, numerator, denominator, shift, scale)
 
         monkeypatch.setattr(Series, "times", counted)
         for tag, j in ([(tag, None) for tag in genfun.IDENTITY_TAGS]

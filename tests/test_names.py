@@ -1,0 +1,43 @@
+"""The package names nothing it does not use, apart from a documented list."""
+import ast
+from pathlib import Path
+
+import cylgf
+
+#: Names defined in src/cylgf that no other code there names, each kept for
+#: a reason outside the package.  Removing dead code shrinks this list.
+KEEP = {
+    # wrapped by name in bench/tracer.py, like Series.__mul__
+    "Series.invert",
+    "slices.contains",
+    "slices.min_slices",
+    # bench/checks.py lists partitions with it
+    "cylindric.iter_partitions",
+}
+
+
+def test_every_unnamed_definition_is_kept_on_purpose():
+    # module-level functions and classes as module.name, methods as
+    # Class.name; a definition is used if any Name, attribute or import in
+    # the package names it.  Dunders are called by Python, and the cli's
+    # cmd_* handlers are the commands themselves.
+    defined, named = set(), set()
+    for path in Path(cylgf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.update((node.name, item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unnamed = {f"{owner}.{name}" for owner, name in defined
+               if name not in named and not name.startswith("cmd_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    assert unnamed == KEEP

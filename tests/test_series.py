@@ -42,6 +42,11 @@ def rand_series(rng, order, unit=False):
     return Series.from_coeffs(coeffs)
 
 
+def constant(c, order):
+    """The constant series c at the order."""
+    return Series.from_coeffs([c] + [0] * order)
+
+
 COEFF = st.one_of(st.integers(-50, 50),
                   st.fractions(-50, 50, max_denominator=6))
 
@@ -263,19 +268,29 @@ def rand_spec(rng, order, max_start=4, max_step=3):
 
 class TestTimes:
     def test_matches_mul_and_invert_randomized(self):
-        rng = random.Random(4417)
+        rng, extra = random.Random(4417), random.Random(4418)
         for _ in range(400):
             order = rng.randint(0, 12)
             num = [rand_spec(rng, order) for _ in range(rng.randint(0, 3))]
             den = [rand_spec(rng, order) for _ in range(rng.randint(0, 3))]
             base = rand_series(rng, order)
-            base = base * Series.monomial(rng.randint(0, 3), order,
-                                          rng.choice([1, 2, Fraction(1, 3)]))
+            base = base * Series.monomial(rng.randint(0, 3), order) * constant(
+                rng.choice([1, 2, Fraction(1, 3)]), order)
             expected = slow_product(num, den, order)
             got = product_expr(num, den, order)
             assert got == expected
             assert all(type(c) is int for c in got.coeffs)
             assert base.times(num, den) == base * expected
+            # shift and scale against q^shift by `*`, then the factors, then
+            # the scale: shifts past the order, the zero series, scale 0,
+            # negative and 2^h as the lemma terms take it
+            shift = extra.randint(0, order + 3)
+            scale = extra.choice([0, -1, -3, 1 << extra.randint(0, 1),
+                                  1 << 70])
+            for s in (base, Series.zero(order)):
+                assert (s.times(num, den, shift, scale)
+                        == s * Series.monomial(shift, order) * expected
+                        * constant(scale, order)), (shift, scale)
 
     def test_one_plus_q0_denominator_gives_halves(self):
         # 1 / ((1 + q^0)(1 + q^2)) = (1 - q^2 + q^4 - ...) / 2: the kernel
