@@ -34,8 +34,7 @@ from . import genfun, lemmas
 from .cylindric import (PartitionError, Profile, ProfileError,
                         enumerate_table, validate)
 from .series import first_mismatch
-from .slices import (SliceError, baseline, decompose, flow_graph, shape,
-                     shape_name)
+from .slices import baseline, decompose, flow_graph, shape, shape_name
 
 
 class UsageError(ValueError):
@@ -421,14 +420,14 @@ def main(argv=None) -> int:
                 return 2
     try:
         return args.fn(args)
-    except (UsageError, ProfileError, PartitionError, SliceError,
+    except (UsageError, ProfileError, PartitionError,
             genfun.UnknownIdentityError, lemmas.LemmaSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # a contract violation (NotAUnitError, OrderMismatchError,
-        # FormulaError) or any other bug, not bad input; exit 1 is reserved
-        # for a failed verification
+        # PochSpecError, SliceError) or any other bug, not bad input; exit 1
+        # is reserved for a failed verification
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -20,10 +20,6 @@ from .series import PochSpec, Series, pochhammer, product_expr
 from .slices import baseline, shape_difference, shape_floors
 
 
-class FormulaError(ValueError):
-    """A product factor came out with a nonpositive exponent (indexing bug)."""
-
-
 class UnknownIdentityError(ValueError):
     """Identity tag not in the catalog, or parameters out of range."""
 
@@ -32,10 +28,13 @@ def borodin_specs(profile: Profile) -> list[PochSpec]:
     """Denominator factor list of the closed-form product for F_c(1, q).
 
     One factor (q^t; q^t) plus, for every admissible (i, j, m) in the two
-    triple products, a factor (q^e; q^t) whose exponent e is checked to be
-    at least 1.  The partial sums s(i, j) = c_i + ... + c_j come off the
-    gray rows b_i (`slices.baseline`): s(i+1, j) = b_i - b_j, s(j, i-1) =
-    b_{j-1} - b_{i-1}.
+    triple products, a factor (q^e; q^t).  The partial sums
+    s(i, j) = c_i + ... + c_j come off the gray rows b_i (`slices.baseline`):
+    s(i+1, j) = b_i - b_j, s(j, i-1) = b_{j-1} - b_{i-1}.  Every e is at
+    least 1: e = m + (j - i) + s(i+1, j) >= m with j >= i in the first
+    product, and in the second e >= r + j - i >= 2, since
+    s(j, i-1) <= level - c_i, m <= c_i and 2 <= j <= i <= r.  `PochSpec`
+    checks it as each factor is built.
     """
     c = profile.parts
     r = profile.rank
@@ -50,11 +49,6 @@ def borodin_specs(profile: Profile) -> list[PochSpec]:
         for j in range(2, i + 1):
             for m in range(1, c[i - 1] + 1):
                 exps.append(t - m + j - i - b[j - 1] + b[i - 1])
-    for e in exps:
-        if e < 1:
-            raise FormulaError(
-                f"factor exponent {e} < 1 for profile {profile} (t={t})"
-            )
     return [PochSpec(1, e, t) for e in exps]
 
 

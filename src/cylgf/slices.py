@@ -17,7 +17,7 @@ from .record import Record
 
 
 class SliceError(ValueError):
-    """Invalid slice, profile mismatch, or a max_weight below 1."""
+    """A slice that breaks its profile's inequalities, or a profile mismatch."""
 
 
 def baseline(profile: Profile) -> tuple[int, ...]:
@@ -33,7 +33,12 @@ def baseline(profile: Profile) -> tuple[int, ...]:
 
 
 class Slice(Record):
-    """White-square counts t_1..t_r over the gray baseline."""
+    """White-square counts t_1..t_r over the gray baseline.
+
+    Built valid or not at all: the counts are non-negative and
+    t_{i+1} <= t_i + c_{i+1} cyclically (a 0/1 cylindric partition), else
+    SliceError.
+    """
 
     __slots__ = ("profile", "white")
 
@@ -45,6 +50,10 @@ class Slice(Record):
         # not empty: a profile has rank >= 1
         if min(white) < 0:
             raise SliceError(f"negative white count: {white}")
+        c = profile.parts
+        # i = 0 pairs t_1 with t_r, the cyclic inequality
+        if any(white[i] > white[i - 1] + c[i] for i in range(profile.rank)):
+            raise SliceError(f"invalid slice {white} for profile {profile}")
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "white", white)
 
@@ -52,20 +61,13 @@ class Slice(Record):
     def weight(self) -> int:
         return sum(self.white)
 
-    def is_valid(self) -> bool:
-        """t_{i+1} <= t_i + c_{i+1} cyclically (a 0/1 cylindric partition)."""
-        t, c = self.white, self.profile.parts
-        r = self.profile.rank
-        return all(t[(i + 1) % r] <= t[i] + c[(i + 1) % r] for i in range(r))
-
 
 def shape(s: Slice) -> tuple[int, ...]:
     """Row-length differences against the last row; (r-1)-tuple.
 
     Unchanged when the same number of white squares is added to every row.
+    The slice is valid, since `Slice` checks that when it is built.
     """
-    if not s.is_valid():
-        raise SliceError(f"invalid slice {s.white} for profile {s.profile}")
     b = baseline(s.profile)
     r = s.profile.rank
     last = b[r - 1] + s.white[r - 1]
@@ -212,10 +214,8 @@ def flow_graph(profile: Profile, max_weight: int):
     One more square in row i of a node t below max_weight gives a node iff
     t_i < t_{i-1} + c_i, cyclically: no other inequality gets tighter.  Only
     a real edge builds its target, looked up by white tuple (KeyError if
-    the rule were wrong).
+    the rule were wrong).  A max_weight below 1 gives the empty graph.
     """
-    if max_weight < 1:
-        raise SliceError("max_weight must be >= 1")
     nodes = list(iter_slices(profile, max_weight))
     by_white = {u.white: u for u in nodes}
     c = profile.parts

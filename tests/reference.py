@@ -2,7 +2,8 @@
 
 `recompose` inverts `slices.decompose` from the definition,
 `DUALITY_PAIRS` lists the profiles that share one generating function under
-rank-level duality, and `comb_shape_name` names a shape with one `comb` per
+rank-level duality, `zero_one_valid` tests white counts against the
+definition, and `comb_shape_name` names a shape with one `comb` per
 entry, the reference for `slices.shape_name`; `recursive_walk` is the
 enumeration oracle's walk as plain recursion, one call per partition, and
 `walk_table` counts by (largest part, size) from it, the reference for
@@ -10,7 +11,8 @@ enumeration oracle's walk as plain recursion, one call per partition, and
 """
 from math import comb
 
-from cylgf.cylindric import CylindricPartition, Profile
+from cylgf.cylindric import (CylindricPartition, PartitionError, Profile,
+                             validate)
 from cylgf.slices import Slice, SliceError, contains
 
 #: profiles sharing one generating function under rank-level duality
@@ -43,6 +45,16 @@ def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
             sum(1 for s in levels if s.white[i] >= j) for j in range(1, depth + 1)
         ))
     return CylindricPartition(profile, tuple(rows))
+
+
+def zero_one_valid(profile: Profile, white: tuple[int, ...]) -> bool:
+    """Whether the 0/1 partition with rows 1^{t_i} passes the definition-level
+    validator: the reference for the inequalities `Slice` checks."""
+    try:
+        validate(profile, [(1,) * t for t in white])
+    except PartitionError:
+        return False
+    return True
 
 
 def comb_shape_name(sh: tuple[int, ...]) -> str:

@@ -17,12 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cylgf
-from cylgf import genfun, lemmas
+from cylgf import cli, genfun, lemmas
 from cylgf.cli import _plain_args, build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.record import Record
 from cylgf.series import NotAUnitError, Series
-from cylgf.slices import iter_slices
+from cylgf.slices import SliceError, iter_slices
 
 
 def run(capsys, *argv):
@@ -410,6 +410,16 @@ class TestExitCodes:
                              "--order", "3", "--method", "borodin")
         assert code == 3 and out == "" and err.startswith("internal error:")
 
+    def test_slice_error_is_not_bad_input(self, capsys, monkeypatch):
+        # no argv builds an invalid slice, so one that escapes is a bug
+        def broken(cp):
+            raise SliceError("invalid slice (0, 2) for profile (2,1)")
+
+        monkeypatch.setattr(cli, "decompose", broken)
+        code, out, err = run(capsys, "decompose", "--json", TestDecompose.PART)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: SliceError:")
+
 
 # text in which no token can parse as an int: int() needs a decimal digit
 NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")),
@@ -780,15 +790,10 @@ FUZZ_ARGV = st.one_of(
               st.sampled_from([[], ["--format", "json"], ["--verbose"]])),
     st.builds(lambda p, n: ["count", "--profile", p, "--order", str(n)],
               profile(3, st.integers(0, 2)), st.integers(0, 10)),
-    # a high rank at orders <= 2; the order is one --order=N token, since
-    # a mutation of a separate value could raise it to 10, and the work is
-    # about the rank times the number of partitions.  Hypothesis raises the
-    # recursion limit by about 2,000 while a test runs, so only ranks past
-    # that would find a recursive walk here
-    st.builds(lambda p, n: ["count", "--profile", p, f"--order={n}"],
-              sparse_profile(4000), st.integers(0, 1)),
-    st.builds(lambda p: ["count", "--profile", p, "--order=2"],
-              sparse_profile(200)),
+    # Hypothesis raises the recursion limit by about 2,000 while a test
+    # runs, so only ranks past that would find a recursive walk here
+    st.builds(lambda p, n: ["count", "--profile", p, "--order", str(n)],
+              sparse_profile(4000), st.integers(0, 10)),
     st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],
               profile(3, st.one_of(SMALL, HUGE)), st.integers(1, 3)),
     st.builds(lambda p, w: ["flow", "--profile", p, "--max-weight", str(w)],

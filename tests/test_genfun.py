@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from cylgf import genfun, lemmas
 from cylgf.cli import _verify_one, main
 from cylgf.cylindric import Profile, enumerate_table
-from cylgf.genfun import (FormulaError, PROFILE_IDENTITIES,
-                          UnknownIdentityError, borodin, borodin_specs,
-                          catalog_sides, chain_series)
+from cylgf.genfun import (PROFILE_IDENTITIES, UnknownIdentityError, borodin,
+                          borodin_specs, catalog_sides, chain_series)
 from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
                           product_expr)

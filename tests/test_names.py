@@ -13,25 +13,35 @@ KEEP = {
     "slices.min_slices",
     # bench/checks.py lists partitions with it
     "cylindric.iter_partitions",
+    # the tests run every catalog tag from it
+    "genfun.IDENTITY_TAGS",
+    # the profiles whose series a catalog tag gives, for `verify --profile`
+    # (ROADMAP item 4); the tests check each pair
+    "genfun.PROFILE_IDENTITIES",
 }
 
 
 def test_every_unnamed_definition_is_kept_on_purpose():
-    # module-level functions and classes as module.name, methods as
-    # Class.name; a definition is used if any Name, attribute or import in
-    # the package names it.  Dunders are called by Python, and the cli's
-    # cmd_* handlers are the commands themselves.
+    # module-level functions, classes and assigned names as module.name,
+    # methods as Class.name; a definition is used if any Name read,
+    # attribute or import in the package names it.  Dunders are read by
+    # Python, and the cli's cmd_* handlers are the commands themselves.
     defined, named = set(), set()
     for path in Path(cylgf.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update((path.stem, target.id) for target in targets
+                               if isinstance(target, ast.Name))
             if isinstance(node, ast.ClassDef):
                 defined.update((node.name, item.name) for item in node.body
                                if isinstance(item, ast.FunctionDef))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)

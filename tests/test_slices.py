@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylgf.cylindric import PartitionError, Profile, iter_partitions, validate
+from cylgf.cylindric import Profile, iter_partitions, validate
 from cylgf.cli import main
 from cylgf.slices import (Slice, SliceError, baseline, contains,
                           decompose, flow_graph, iter_slices, min_slices,
                           shape, shape_difference, shape_floors, shape_name)
-from reference import comb_shape_name, recompose
+from reference import comb_shape_name, recompose, zero_one_valid
 from test_cylindric import all_profiles
 
 
@@ -32,20 +32,23 @@ class TestBaseline:
 class TestSliceBasics:
     def test_validity(self):
         p = Profile((2, 1))
-        assert Slice(p, (0, 1)).is_valid()
-        assert Slice(p, (3, 1)).is_valid()
-        assert not Slice(p, (0, 2)).is_valid()  # t_2 > t_1 + c_2
-        assert not Slice(p, (5, 1)).is_valid()  # t_1 > t_2 + c_1
+        assert Slice(p, (0, 1)).white == (0, 1)
+        assert Slice(p, (3, 1)).white == (3, 1)
+        with pytest.raises(SliceError):
+            Slice(p, (0, 2))  # t_2 > t_1 + c_2
+        with pytest.raises(SliceError):
+            Slice(p, (5, 1))  # t_1 > t_2 + c_1
 
     def test_empty_slice_always_valid(self):
         for profile in all_profiles(7):
-            assert Slice(profile, (0,) * profile.rank).is_valid()
+            assert Slice(profile, (0,) * profile.rank).weight == 0
 
     def test_validity_matches_definition(self):
-        # the adjacent-rows criterion must agree with running the 0/1
-        # partition with rows 1^{t_i} through the definition-level validator.
-        # Both are invariant under adding 1 to every t_i, and counts up to
-        # level + 1 reach both sides of every boundary t_{i+1} = t_i + c_{i+1}
+        # the constructor's adjacent-rows criterion must agree with running
+        # the 0/1 partition with rows 1^{t_i} through the definition-level
+        # validator.  Both are invariant under adding 1 to every t_i, and
+        # counts up to level + 1 reach both sides of every boundary
+        # t_{i+1} = t_i + c_{i+1}
         for profile in all_profiles(7):
             r = profile.rank
             stack = [()]
@@ -54,11 +57,10 @@ class TestSliceBasics:
                          for v in range(profile.level + 2)]
             for t in stack:
                 try:
-                    validate(profile, [(1,) * v for v in t])
-                    valid = True
-                except PartitionError:
-                    valid = False
-                assert Slice(profile, t).is_valid() == valid, (profile, t)
+                    built = Slice(profile, t).white == t
+                except SliceError:
+                    built = False
+                assert built == zero_one_valid(profile, t), (profile, t)
 
     def test_bad_construction(self):
         with pytest.raises(SliceError):
@@ -217,12 +219,11 @@ class TestMinSlices:
 class TestIterSlices:
     @staticmethod
     def brute_force(profile, max_weight):
-        """Filter every tuple by Slice.is_valid, then sort."""
+        """Filter every tuple by the definition-level validator, then sort."""
         found = [Slice(profile, t)
                  for t in itertools.product(range(max_weight + 1),
                                             repeat=profile.rank)
-                 if 0 < sum(t) <= max_weight]
-        found = [s for s in found if s.is_valid()]
+                 if 0 < sum(t) <= max_weight and zero_one_valid(profile, t)]
         found.sort(key=lambda s: (s.weight, s.white))
         return found
 
@@ -335,9 +336,8 @@ class TestFlowGraph:
         assert 'label="bq^2"' in text
         assert text.count("->") == 2
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(SliceError):
-            flow_graph(Profile((1, 1)), 0)
+    def test_bound_below_one_gives_empty_graph(self):
+        assert flow_graph(Profile((1, 1)), 0) == ((), ())
 
 
 class TestDisplay:
