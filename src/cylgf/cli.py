@@ -116,7 +116,8 @@ def cmd_count(args) -> int:
     table = enumerate_table(profile, args.order)
     if args.verbose:
         _report({"partitions": sum(map(sum, table.counts)),
-                 "prefixes": table.prefixes}, start)
+                 "prefixes": table.prefixes,
+                 "walked": ",".join(map(str, table.walked.parts))}, start)
     if args.format == "json":
         payload = {
             "profile": list(profile.parts),
@@ -301,7 +302,10 @@ _COMMANDS = (
     ("expand", "coefficients of F_c(1,q)",
      (_PROFILE, _OUT, _ORDER, _VERBOSE,
       _option("--method", required=True,
-              choices=("borodin", "chain", "chain-distinct")),
+              choices=("borodin", "chain", "chain-distinct"),
+              help="borodin and chain count every cylindric partition; "
+                   "chain-distinct only those whose part values are "
+                   "exactly 1, ..., m, m the largest part"),
       _option("--format", choices=("text", "json"), default="text")),
      cmd_expand),
     ("count", "refined (max, size) table by enumeration",

@@ -5,9 +5,9 @@ sets each one once with `object.__setattr__`; assigning or deleting a field
 afterwards raises AttributeError.  `Record` compares and hashes the tuple of
 the compared fields, `_compared`: all of `__slots__` unless the class names
 fewer (`ChainGF` leaves out its four work counters, `RefinedTable` its
-`prefixes` count).  Records of two classes are never equal.  No command
-compares or hashes a record, so these generic methods cost nothing on a
-command's path.
+`prefixes` count and its `walked` rotation).  Records of two classes are
+never equal.  No command compares or hashes a record, so these generic
+methods cost nothing on a command's path.
 """
 
 

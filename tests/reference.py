@@ -5,14 +5,17 @@
 rank-level duality, `zero_one_valid` tests white counts against the
 definition, and `comb_shape_name` names a shape with one `comb` per
 entry, the reference for `slices.shape_name`; `recursive_walk` is the
-enumeration oracle's walk as plain recursion, one call per partition, and
+enumeration oracle's walk as plain recursion, one call per partition,
+without its pruning of the rows between the first and the last;
 `walk_table` counts by (largest part, size) from it, the reference for
-`cylindric.enumerate_table`.  No command of the package needs any of them.
+`cylindric.enumerate_table`, and `gapless_table` counts the partitions
+that skip no part value, the reference for `chain-distinct`.  No command of
+the package needs any of them.
 """
 from math import comb
 
 from cylgf.cylindric import (CylindricPartition, PartitionError, Profile,
-                             validate)
+                             iter_partitions, validate)
 from cylgf.slices import Slice, SliceError, contains
 
 #: profiles sharing one generating function under rank-level duality
@@ -78,6 +81,11 @@ def recursive_walk(profile: Profile, bound: int, visit) -> None:
     still take, so a prefix that leaves less room than that is cut at once;
     the last row is complete only when `need` is 0.  `rows` is the walk's own
     list of part lists: read it during the call, do not keep it.
+
+    This is the slow reference and stays unpruned on purpose: it holds only
+    the last row below by the first row, so at rank >= 3 it builds middle
+    rows that can never dominate the first row, and it walks the profile as
+    given.  `cylindric._walk` bounds every row below by the first row.
     """
     c = profile.parts
     last, lift = len(c) - 1, c[0]
@@ -121,4 +129,16 @@ def walk_table(profile: Profile, order: int) -> tuple[tuple[int, ...], ...]:
         counts[largest][size] += 1
 
     recursive_walk(profile, order, visit)
+    return tuple(map(tuple, counts))
+
+
+def gapless_table(profile: Profile, order: int) -> tuple[tuple[int, ...], ...]:
+    """counts[m][n]: the cylindric partitions of size n <= order whose set
+    of part values is exactly {1, ..., m}, m the largest part, by filtering
+    `iter_partitions`.  These are the partitions whose level slices are
+    pairwise distinct, which `chain_series(distinct=True)` counts."""
+    counts = [[0] * (order + 1) for _ in range(order + 1)]
+    for cp in iter_partitions(profile, order):
+        if {v for row in cp.rows for v in row} == set(range(1, cp.largest + 1)):
+            counts[cp.largest][cp.size] += 1
     return tuple(map(tuple, counts))

@@ -539,7 +539,7 @@ class TestVerbose:
         assert counters.pop("seconds") >= 0
         table = enumerate_table(Profile((2, 1)), 9)
         assert counters == {"partitions": sum(map(sum, table.counts)),
-                            "prefixes": table.prefixes}
+                            "prefixes": table.prefixes, "walked": "1,2"}
         assert 0 < table.prefixes
 
     @pytest.mark.parametrize("argv, identities, lemma_specs", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cylgf.cli import main
 from cylgf.cylindric import (InequalityError, PartitionError, Profile,
-                             ProfileError, RowError, enumerate_table,
+                             ProfileError, RowError, _walk, enumerate_table,
                              iter_partitions, validate)
 from cylgf.series import Series
 from reference import recursive_walk, walk_table
@@ -187,12 +187,37 @@ class TestEnumerate:
         assert text == "max,size,count\n0,0,1\n1,1,2\n1,2,1\n2,2,2\n"
 
     def test_cyclic_shift_invariance_of_refined_tables(self):
-        # F_c(z, q) is invariant under rotating the profile
-        for profile in all_profiles(6):
-            a = enumerate_table(profile, 8)
-            b = enumerate_table(Profile(profile.parts[1:] + profile.parts[:1]),
-                                8)
-            assert a.counts == b.counts, profile
+        # F_c(z, q) is invariant under rotating the profile.  enumerate_table
+        # walks one rotation of each orbit, so this compares the walks of
+        # the profiles as given, by iter_partitions; all_profiles holds
+        # every rotation of each of its profiles
+        found = {profile: Counter((cp.largest, cp.size)
+                                  for cp in iter_partitions(profile, 8))
+                 for profile in all_profiles(6)}
+        for profile, hist in found.items():
+            shifted = Profile(profile.parts[1:] + profile.parts[:1])
+            assert hist == found[shifted], profile
+
+    def test_table_walks_a_rotation_ending_in_the_largest_part(self):
+        for parts, walked in [((2, 1), (1, 2)), ((1, 1, 1), (1, 1, 1)),
+                              ((1, 0, 0, 0), (0, 0, 0, 1)),
+                              ((2, 0, 2, 1), (1, 2, 0, 2))]:
+            table = enumerate_table(Profile(parts), 6)
+            assert table.walked == Profile(walked)
+            assert table.profile == Profile(parts)
+
+    @pytest.mark.parametrize("parts, ratio", [
+        ((1, 0, 0, 0), 2.5), ((0, 1, 0, 0), 2.5), ((1, 0, 0, 0, 0, 0), 3.5)],
+        ids=str)
+    def test_every_row_bounded_by_the_first(self, parts, ratio):
+        # each row is held below by the first row, not only the last, so
+        # the walk of the profile as given enters few prefixes that end
+        # nowhere: about 5-9 per partition at order 12 without that bound
+        found = []
+        prefixes = _walk(Profile(parts), 12,
+                         lambda rows, largest, size, lo, hi:
+                         found.append(hi - lo + 1))
+        assert prefixes < ratio * sum(found)
 
     @settings(max_examples=100, deadline=None)
     @given(parts=PROFILES, bound=st.integers(0, 8))
@@ -275,9 +300,13 @@ class TestEnumerate:
     def test_walk_skips_rows_that_stay_empty(self):
         # below an empty row, a row with c_i = 0 must stay empty, so the walk
         # jumps over it: at rank 1,600 with one part 10^8 it enters a few
-        # prefixes per partition, not about one per row of each of them
+        # prefixes per partition, not about one per row of each of them,
+        # both on the rotation the table walks, (0, ..., 0, 10^8), and on
+        # the profile as given
         parts = (10 ** 8,) + (0,) * 1599
         table = enumerate_table(Profile(parts), 10)
         partitions = sum(map(sum, table.counts))
         assert partitions == 1124
+        assert table.walked == Profile(parts[1:] + parts[:1])
         assert table.prefixes < 4 * partitions
+        assert _walk(Profile(parts), 10, lambda *run: None) < 4 * partitions

@@ -17,7 +17,7 @@ from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
                           product_expr)
 from cylgf.slices import contains, iter_slices
-from reference import DUALITY_PAIRS
+from reference import DUALITY_PAIRS, gapless_table
 
 # the profile orbits and top orders of the chain-dp benchmark workload
 CHAIN_ORBITS = [((1, 1), 50), ((2, 1), 40), ((1, 0, 1), 34), ((1, 1, 1), 28),
@@ -191,6 +191,17 @@ class TestChainSeries(ChainMarginals):
             g = chain_series(profile, 8)
             t = enumerate_table(profile, 8)
             assert g.table == t.counts, parts
+
+    def test_distinct_equals_gapless_enumeration(self):
+        # chain-distinct counts, by largest part and size, the partitions
+        # whose part values are exactly 1..largest: every profile of rank
+        # 1-4 and level 1-3, zero parts included, against the definition
+        for rank in range(1, 5):
+            for parts in itertools.product(range(4), repeat=rank):
+                if 1 <= sum(parts) <= 3:
+                    profile = Profile(parts)
+                    assert (chain_series(profile, 10, distinct=True).table
+                            == gapless_table(profile, 10)), parts
 
     def test_z_degree_bounded_by_q_degree(self):
         g = chain_series(Profile((1, 1)), 8)

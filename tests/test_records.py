@@ -25,11 +25,11 @@ RECORDS = {
         [dict(profile=Profile((1, 2))), dict(rows=((2, 2), (3,)))],
         {}),
     RefinedTable: (
-        lambda: dict(profile=Profile((1, 1)), order=1, counts=((1, 0), (0, 2)),
-                     prefixes=4),
+        lambda: dict(profile=Profile((2, 1)), order=1, counts=((1, 0), (0, 2)),
+                     prefixes=4, walked=Profile((1, 2))),
         [dict(profile=Profile((2, 0))), dict(order=0),
          dict(counts=((1, 0), (0, 3)))],
-        dict(prefixes=9)),
+        dict(prefixes=9, walked=Profile((2, 1)))),
     ChainGF: (
         lambda: dict(profile=Profile((1, 1)), order=1, distinct=False,
                      table=((1, 0), (0, 2)), nodes=2, shapes=2,

@@ -88,10 +88,6 @@ class TestShape:
         # the empty slice shares the gray staircase's shape
         assert shape(Slice(p, (0, 0, 0))) == (2, 1)
 
-    def test_invalid_slice_rejected(self):
-        with pytest.raises(SliceError):
-            shape(Slice(Profile((2, 1)), (0, 2)))
-
 
 class TestContains:
     def test_examples(self):
