@@ -5,11 +5,12 @@ The enumeration works from the definition alone: one backtracking walk
 enforces every defining inequality, the cyclic one included, as each part
 is placed, so that it stays independent of the slice machinery it is used
 to audit.  Chained round the cylinder, the inequalities hold every row below
-by the first row, so a row that could not meet that bound is never begun.
+by the first row, so no part is placed under that bound and no row ends
+while it is positive.
 Once nothing is left for the last row to dominate, every allowed value of
 its next part ends a partition, and the walk reports that range as one run.
 `enumerate_table` walks the rotation of the profile that ends in its largest
-part, the cheapest, and adds each run to a difference table in O(1);
+part, usually the cheapest, and adds each run to a difference table in O(1);
 `iter_partitions` expands the runs of the walk of the profile as given.
 """
 from __future__ import annotations
