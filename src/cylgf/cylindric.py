@@ -5,10 +5,12 @@ The enumeration works from the definition alone: one backtracking walk
 enforces every defining inequality, the cyclic one included, as each part
 is placed, so that it stays independent of the slice machinery it is used
 to audit.  Chained round the cylinder, the inequalities hold every row below
-by the first row, so no part is placed under that bound and no row ends
-while it is positive.
-Once nothing is left for the last row to dominate, every allowed value of
-its next part ends a partition, and the walk reports that range as one run.
+the first by the first row, and one rule places each part of those rows:
+at least that bound, at most the entry of the row above that dominates it,
+and no row ends while the bound is positive.  The last row differs only
+once nothing is left for it to dominate: then every allowed value of its
+next part ends a partition, and the walk reports that range as one run.
+At rank 1 the one row takes the same rule with no row above.
 `enumerate_table` walks the rotation of the profile that ends in its largest
 part, usually the cheapest, and adds each run to a difference table in O(1);
 `iter_partitions` expands the runs of the walk of the profile as given.
@@ -147,44 +149,45 @@ def _walk(profile: Profile, bound: int, run) -> int:
     parts at a time; return the number of prefixes the walk entered.
 
     One loop over an explicit stack builds the rows one after another, part
-    by part, and enforces every inequality as its part is placed: each part
-    of row i > 0 is at most the entry of row i - 1 that dominates it, and at
-    least the entry of the first row it must dominate.  Chaining the
-    inequalities from row k down to the last row and round to the first
-    gives rows[k][j] >= first[j + s_k] with s_k = c[0] + sum(c[k + 1:]);
-    for the last row this is the cyclic inequality
-    last[j] >= first[j + c[0]].  So a row k > 0 starts each part at that
-    bound and may not end while the bound is positive.  `need`, the sum of
-    the bounds that the rows still to come must meet (first-row part x once
-    for each row k > 0 with s_k <= x), is the least size still to come, so
-    a prefix that leaves less room than that is cut at once.  Below an empty
-    row, a row with c_i = 0 (not the last) must stay empty too, so the walk
-    jumps over all such rows at once and clears only the last, which it
-    reads.
+    by part, and enforces every inequality as its part is placed.  Chaining
+    the inequalities from row k > 0 down to the last row and round to the
+    first gives rows[k][j] >= first[j + s_k] with s_k = c[0] + sum(c[k + 1:]);
+    for the last row this is the cyclic inequality last[j] >= first[j + c[0]].
+    So every row k > 0 places each part by one rule: at least that bound,
+    at most the entry of row k - 1 that dominates it, and it may not end
+    while the bound is positive.  `need`, the sum of the bounds that the
+    rows still to come must meet (first-row part x once for each row k > 0
+    with s_k <= x), is the least size still to come, so a prefix that
+    leaves less room than that is cut at once.  Below an empty row, a row
+    with c_i = 0 (not the last) must stay empty too, so the walk jumps over
+    all such rows at once and clears only the last, which it reads.
 
-    Once `need` is 0 with the last row's next part in place, each value v
-    in [lo, hi] of that part ends a partition:
-    run(rows, largest, size, lo, hi) reports them all at once, and the walk
-    enters only the v that leave room for one more part.  `rows`, `largest`
-    and `size` describe the prefix without v; a partition whose last row is
-    empty is the run lo = hi = 0, where a part 0 is no part.  `rows` is the
-    walk's own list of part lists: read it during the call, do not keep it.
-    A row jumped over is empty, whatever its list holds.
+    The last row differs only once `need` is 0 with its next part in place:
+    then each value v in [lo or 1, hi] of that part ends a partition, and
+    run(rows, largest, size, lo, hi) reports them all at once; at pos 0
+    with no bound left, the empty last row comes first, as the run
+    lo = hi = 0, where a part 0 is no part.  The walk enters only the v
+    that leave room for one more part.  At rank 1 the one row is both the
+    first and the last: it takes the same rule with no row above, and its
+    bound first[pos] lies past its own end, so it is 0.  `rows`, `largest`
+    and `size` describe the prefix without v; `rows` is the walk's own list
+    of part lists: read it during the call, do not keep it.  A row jumped
+    over is empty, whatever its list holds.
     """
     c = profile.parts
-    last, lift, shift = len(c) - 1, c[0], c[-1]
+    last = len(c) - 1
     rows: list[list[int]] = [[] for _ in c]
-    first, above = rows[0], rows[-2] if last else None
+    first = rows[0]
     # skip[i]: the first row from row i on with c > 0, or the last row;
     # lows[k] = s_k, by suffix sums; under[x]: the number of rows k > 0 that
     # must dominate first[x], those with s_k <= x, by a histogram of the s_k
     # (a first row has at most bound parts)
     skip, lows, under = list(range(len(c))), [0] * len(c), [0] * (bound + 1)
-    tail = 0
+    tail = c[0]
     for k in range(last, 0, -1):
         if k < last and not c[k]:
             skip[k] = skip[k + 1]
-        lows[k] = lift + tail
+        lows[k] = tail
         tail += c[k]
         if lows[k] <= bound:
             under[lows[k]] += 1
@@ -197,80 +200,65 @@ def _walk(profile: Profile, bound: int, run) -> int:
     cap = bound
     while True:
         prefixes += 1
-        if i < last:
-            p1 = pos + 1
-            if i:
-                # this part dominates first[pos + s_i], if that is a part
+        if i or not last:
+            # this part dominates first[pos + s_i], if that is a part; the
+            # need holds that bound, so without a need there is none
+            lo = 0
+            if need:
                 x = pos + lows[i]
                 lo = first[x] if x < len(first) else 0
                 need -= lo
-                room = bound - size - need
-                hi = cap if cap < room else room
+            room = bound - size - need
+            hi = cap if cap < room else room
+            if i:
                 up, j = rows[i - 1], pos - c[i]
                 if j >= 0:
                     top = up[j] if j < len(up) else 0
                     if top < hi:
                         hi = top
+            if need or i < last:
                 for v in range(lo or 1, hi + 1):
-                    push((i, p1, v, size + v, v if v > largest else largest,
+                    push((i, pos + 1, v, size + v, v if v > largest else largest,
                           need))
             else:
-                # the need takes this part once for each row below that
-                # will have to dominate it
-                lo, grow = 0, under[pos]
-                hi = (bound - size - need) // (grow + 1)
-                if cap < hi:
-                    hi = cap
-                for v in range(1, hi + 1):
-                    push((0, p1, v, size + v, v if v > largest else largest,
-                          need + grow * v))
-            # unless a bound is left, row i ends here: the next row starts
-            # empty, and its subtree is walked before the nodes just pushed,
-            # so row i keeps pos parts; below an empty row, jump over the
-            # rows with c_i = 0
-            if not lo:
-                if pos:
-                    i += 1
-                else:
-                    i = skip[i + 1]
-                    rows[i - 1].clear()
-                rows[i].clear()
-                pos, cap = 0, bound - size
-                continue
-        else:
-            if need:
-                # this part dominates first[pos + lift] and takes it off the
-                # need
-                lo = first[pos + lift]
-                need -= lo
-            else:
-                lo = 1
-                if not pos:
-                    run(rows, largest, size, 0, 0)
-            room = bound - size - need
-            hi = cap if cap < room else room
-            more = True  # the row above leaves room for a part after this one
-            if last:
-                j = pos - shift
-                if j >= 0:
-                    top = above[j] if j < len(above) else 0
-                    if top < hi:
-                        hi = top
-                more = j + 1 < len(above)
-            if lo <= hi:
-                p1 = pos + 1
-                if need:
-                    for v in range(lo, hi + 1):
-                        push((last, p1, v, size + v,
-                              v if v > largest else largest, need))
-                else:
+                # every v in [lo or 1, hi] ends a partition, and so, with no
+                # bound at pos 0, does the empty last row; enter only the v
+                # that leave room for one more part the row above allows
+                if not lo:
+                    if not pos:
+                        run(rows, largest, size, 0, 0)
+                    lo = 1
+                if lo <= hi:
                     run(rows, largest, size, lo, hi)
-                    if more:
+                    if not i or j + 1 < len(up):
                         if room <= hi:
                             hi = room - 1
                         for v in range(lo, hi + 1):
-                            push((last, p1, v, size + v,
+                            push((i, pos + 1, v, size + v,
                                   v if v > largest else largest, 0))
+        else:
+            # the need takes this part once for each row below that will
+            # have to dominate it
+            lo, grow = 0, under[pos]
+            hi = (bound - size - need) // (grow + 1)
+            if cap < hi:
+                hi = cap
+            for v in range(1, hi + 1):
+                push((0, pos + 1, v, size + v, v if v > largest else largest,
+                      need + grow * v))
+        # unless a bound is left, a row above the last ends here: the next
+        # row starts empty, and its subtree is walked before the nodes just
+        # pushed, so row i keeps pos parts; below an empty row, jump over
+        # the rows with c_i = 0
+        if not lo and i < last:
+            if pos:
+                i += 1
+            else:
+                i = skip[i + 1]
+                rows[i - 1].clear()
+            rows[i].clear()
+            pos, cap = 0, bound - size
+            continue
         if not stack:
             return prefixes
         i, pos, cap, size, largest, need = pop()

@@ -613,8 +613,10 @@ class TestHugeLevel:
                      '  n4 [label="s5000000150000004q^2"];\n'
                      "  n0 -> n2;\n  n0 -> n3;\n  n1 -> n2;\n  n1 -> n4;\n}\n",
                      id="flow-level-100000001"),
-        # 1,500 rows deep, far past the recursion limit: the enumeration
-        # walk keeps its own stack
+        # a profile 1,500 rows long, past the recursion limit, at order 1:
+        # the output of a fresh process under the memory limit; the walk
+        # jumps over the empty rows (its prefixes are pinned in
+        # test_cylindric.py, test_walk_jumps_to_the_last_row_at_rank_1500)
         pytest.param(["count", "--profile", ",".join(["1"] + ["0"] * 1499),
                       "--order", "1"],
                      "max,size,count\n0,0,1\n1,1,1\n", id="count-rank-1500"),

@@ -206,6 +206,16 @@ class TestEnumerate:
             assert table.walked == Profile(walked)
             assert table.profile == Profile(parts)
 
+    @pytest.mark.parametrize("parts, prefixes", zip(
+        COUNT_ORBITS + [(1,), (3,)],
+        [950, 1119, 1226, 710, 1104, 2332, 2438, 613, 1872, 2469, 5070, 5936,
+         195, 195]), ids=str)
+    def test_walk_enters_pinned_prefixes(self, parts, prefixes):
+        # the walk's work, not only its answer: a lost cut leaves every
+        # table right but enters more prefixes (without the last row's room
+        # cut, (2, 1) enters 1,248 here)
+        assert _walk(Profile(parts), 12, lambda *run: None) == prefixes
+
     @pytest.mark.parametrize("parts, ratio", [
         ((1, 0, 0, 0), 2.5), ((0, 1, 0, 0), 2.5), ((1, 0, 0, 0, 0, 0), 3.5)],
         ids=str)
@@ -310,3 +320,11 @@ class TestEnumerate:
         assert table.walked == Profile(parts[1:] + parts[:1])
         assert table.prefixes < 4 * partitions
         assert _walk(Profile(parts), 10, lambda *run: None) < 4 * partitions
+
+    def test_walk_jumps_to_the_last_row_at_rank_1500(self):
+        # the table walks (0, ..., 0, 1): its first row must stay empty, so
+        # the walk jumps from it straight to the last row; the profile as
+        # given, (1, 0, ..., 0), jumps from the second row
+        parts = (1,) + (0,) * 1499
+        assert enumerate_table(Profile(parts), 1).prefixes == 2
+        assert _walk(Profile(parts), 1, lambda *run: None) == 5

@@ -51,3 +51,25 @@ def test_every_unnamed_definition_is_kept_on_purpose():
                if name not in named and not name.startswith("cmd_")
                and not (name.startswith("__") and name.endswith("__"))}
     assert unnamed == KEEP
+
+
+def test_no_local_is_assigned_and_never_read():
+    # every module-level function and method, with the functions nested in
+    # it: a name it stores must also be loaded somewhere in it.  `_` is the
+    # name of a value thrown away on purpose.
+    unread = set()
+    for path in Path(cylgf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [item for node in tree.body
+                      if isinstance(node, ast.ClassDef) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        for function in functions:
+            names = [node for node in ast.walk(function)
+                     if isinstance(node, ast.Name)]
+            stored = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            unread.update(f"{path.stem}.{function.name}: {name}"
+                          for name in stored - loaded - {"_"})
+    assert unread == set()
