@@ -218,8 +218,8 @@ def _walk(profile: Profile, bound: int, run) -> int:
                         hi = top
             if need or i < last:
                 for v in range(lo or 1, hi + 1):
-                    push((i, pos + 1, v, size + v, v if v > largest else largest,
-                          need))
+                    push((i, pos + 1, v, size + v,
+                          v if v > largest else largest, need))
             else:
                 # every v in [lo or 1, hi] ends a partition, and so, with no
                 # bound at pos 0, does the empty last row; enter only the v
