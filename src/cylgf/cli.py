@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input
-(parse errors and unknown options, unknown identity tags or extra lemma
-parameters, `--z-power` without `--id gasper`, `--format csv` without a
-catalog identity, an option given the value `--`, malformed or invalid
-partitions, partition JSON that is not UTF-8, nested past the recursion
-limit or holds an integer past the digit limit, unreadable or unwritable
-files, `verify --all` with `--id`), 3 for internal contract violations and
-any other unexpected exception.  All file output ends with a trailing newline
+Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input: an
+argv that argparse rejects (parse errors and unknown options), an option
+given the value `--`, and every `record.InputError` (unknown identity tags
+or extra lemma parameters, `--z-power` without `--id gasper`, `--format csv`
+without a catalog identity, malformed or invalid profiles and partitions,
+partition JSON that is not UTF-8, nested past the recursion limit or holds
+an integer past the digit limit, unreadable or unwritable files,
+`verify --all` with `--id`); 3 for internal contract violations and any
+other unexpected exception.  All file output ends with a trailing newline
 and is byte-identical across runs of the same command.
 `--verbose`, taken by `expand`, `count` and `verify` only, also writes the
 command's work counters and time to stderr as one JSON object.  Each command
@@ -31,21 +32,17 @@ import time
 from types import SimpleNamespace
 
 from . import genfun, lemmas
-from .cylindric import (PartitionError, Profile, ProfileError,
-                        enumerate_table, validate)
+from .cylindric import Profile, enumerate_table, validate
+from .record import InputError
 from .series import first_mismatch
 from .slices import baseline, decompose, flow_graph, shape, shape_name
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_profile(text: str) -> Profile:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse profile {text!r}")
+        raise InputError(f"cannot parse profile {text!r}")
     return Profile(parts)
 
 
@@ -72,7 +69,7 @@ def _emit(text: str, out: str | None):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}")
+            raise InputError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -183,11 +180,11 @@ def _lemma_line(spec, order: int, lines: list[str]) -> bool:
 
 def cmd_verify(args) -> int:
     if args.z_power is not None and (args.all or args.id != "gasper"):
-        raise UsageError("--z-power applies only to --id gasper")
+        raise InputError("--z-power applies only to --id gasper")
     if args.format == "csv" and (args.all or (args.id or "").startswith("L")):
-        raise UsageError("--format csv applies only to a catalog identity")
+        raise InputError("--format csv applies only to a catalog identity")
     if args.all and args.id is not None:
-        raise UsageError("verify takes --id or --all, not both")
+        raise InputError("verify takes --id or --all, not both")
     lines: list[str] = []
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
@@ -218,7 +215,7 @@ def cmd_verify(args) -> int:
         else:
             ok = _verify_one(args.id, order, args.z_power, lines, work)
     else:
-        raise UsageError("verify needs --id or --all")
+        raise InputError("verify needs --id or --all")
     if args.verbose:
         _report(work, start)
     _emit("\n".join(lines), args.out)
@@ -234,7 +231,7 @@ def _parse_partition(data) -> tuple[Profile, list]:
     if not (isinstance(data, dict) and ints(data.get("profile"))
             and isinstance(data.get("rows"), list)
             and all(ints(row) for row in data["rows"])):
-        raise UsageError('a partition is a JSON object {"profile": [int, ...], '
+        raise InputError('a partition is a JSON object {"profile": [int, ...], '
                          '"rows": [[int, ...], ...]}')
     return Profile(tuple(data["profile"])), data["rows"]
 
@@ -245,19 +242,19 @@ def cmd_decompose(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {args.file}: {exc.strerror}")
+            raise InputError(f"cannot read {args.file}: {exc.strerror}")
         except UnicodeDecodeError:
-            raise UsageError(f"cannot read {args.file}: not UTF-8 text")
+            raise InputError(f"cannot read {args.file}: not UTF-8 text")
     elif args.json:
         text = args.json
     else:
-        raise UsageError("decompose needs --json or --file")
+        raise InputError("decompose needs --json or --file")
     try:
         data = json.loads(text)
     except RecursionError:
-        raise UsageError("partition JSON is nested too deeply")
+        raise InputError("partition JSON is nested too deeply")
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise UsageError(f"bad partition JSON: {exc}")
+        raise InputError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
     cp = validate(profile, rows)
     gray = baseline(profile)
@@ -424,14 +421,14 @@ def main(argv=None) -> int:
                 return 2
     try:
         return args.fn(args)
-    except (UsageError, ProfileError, PartitionError,
-            genfun.UnknownIdentityError, lemmas.LemmaSpecError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # a contract violation (NotAUnitError, OrderMismatchError,
-        # PochSpecError, SliceError) or any other bug, not bad input; exit 1
-        # is reserved for a failed verification
+        # not bad input: a contract violation (NotAUnitError,
+        # OrderMismatchError, PochSpecError, SliceError, none of them an
+        # InputError) or any other bug; exit 1 is reserved for a failed
+        # verification
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -20,43 +20,15 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import lt
 
-from .record import Record
+from .record import InputError, Record
 
 
-class ProfileError(ValueError):
+class ProfileError(InputError):
     """Rejected profile (negative part, empty, or level zero)."""
 
 
-class PartitionError(ValueError):
-    """Base class for cylindric-partition validation failures."""
-
-
-class RowError(PartitionError):
-    """A row is not a weakly decreasing list of positive integers."""
-
-    def __init__(self, row_index: int, row, reason: str):
-        self.row_index = row_index
-        self.row = tuple(row)
-        super().__init__(f"row {row_index + 1} {reason}: {tuple(row)}")
-
-
-class InequalityError(PartitionError):
-    """First violated cyclic inequality, with 1-based (row, part) position.
-
-    The message is formatted when it is read: `cmd_decompose` prints it
-    once per job, while the tests' brute-force filters raise and catch these
-    errors by the thousand and never read it.
-    """
-
-    def __init__(self, row_index: int, part_index: int, lhs: int, rhs: int):
-        self.row_index = row_index
-        self.part_index = part_index
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __str__(self) -> str:
-        return (f"lambda^({self.row_index})_{self.part_index} = {self.lhs} "
-                f"< {self.rhs} (required >= by the profile shift)")
+class PartitionError(InputError):
+    """Rejected cylindric partition; the message gives 1-based positions."""
 
 
 class Profile(Record):
@@ -122,14 +94,17 @@ def validate(profile: Profile, rows) -> CylindricPartition:
     if len(rows) != r:
         raise PartitionError(f"expected {r} rows, got {len(rows)}")
     stripped = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, 1):
         row = tuple(row)
-        while row and row[-1] == 0:
-            row = row[:-1]
+        end = len(row)
+        while end and row[end - 1] == 0:
+            end -= 1
+        row = row[:end]
         # with no ascent the last part is the least, so one test covers both
         if row and (row[-1] <= 0 or any(map(lt, row, row[1:]))):
-            raise RowError(i, row, "contains a nonpositive part"
-                           if min(row) <= 0 else "is not weakly decreasing")
+            reason = ("contains a nonpositive part" if min(row) <= 0
+                      else "is not weakly decreasing")
+            raise PartitionError(f"row {i} {reason}: {row}")
         stripped.append(row)
     rows = stripped
     c = profile.parts
@@ -140,7 +115,9 @@ def validate(profile: Profile, rows) -> CylindricPartition:
         for j, low in enumerate(lower[shift:]):
             up = upper[j] if j < len(upper) else 0
             if up < low:
-                raise InequalityError(i, j + 1, up, low)
+                raise PartitionError(
+                    f"lambda^({i})_{j + 1} = {up} < {low} "
+                    "(required >= by the profile shift)")
     return CylindricPartition(profile, tuple(rows))
 
 

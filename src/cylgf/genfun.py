@@ -15,12 +15,12 @@
 from __future__ import annotations
 
 from .cylindric import Profile
-from .record import Record
+from .record import InputError, Record
 from .series import PochSpec, Series, pochhammer, product_expr
 from .slices import baseline, shape_difference, shape_floors
 
 
-class UnknownIdentityError(ValueError):
+class UnknownIdentityError(InputError):
     """Identity tag not in the catalog, or parameters out of range."""
 
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .record import Record
+from .record import InputError, Record
 from .series import PochSpec, Series, first_mismatch
 
 _OFFSETS = {"A": 0, "B": 1, "C": -1}
 
 
-class LemmaSpecError(ValueError):
+class LemmaSpecError(InputError):
     """Rejected nested-sum specification."""
 
 

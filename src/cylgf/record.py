@@ -1,4 +1,4 @@
-"""The base class of the package's immutable records.
+"""The package's base classes: immutable records and bad-input errors.
 
 A record names its fields in `__slots__`, and its `__init__` checks them and
 sets each one once with `object.__setattr__`; assigning or deleting a field
@@ -8,7 +8,14 @@ fewer (`ChainGF` leaves out its four work counters, `RefinedTable` its
 `prefixes` count and its `walked` rotation).  Records of two classes are
 never equal.  No command compares or hashes a record, so these generic
 methods cost nothing on a command's path.
+
+`InputError` is the base class of every error that bad input raises; the
+command line turns it, and only it, into exit 2.
 """
+
+
+class InputError(ValueError):
+    """Input that the definitions reject: the message says why."""
 
 
 class Record:

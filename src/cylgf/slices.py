@@ -88,13 +88,19 @@ def decompose(cp: CylindricPartition) -> list[Slice]:
     """Level slices of a cylindric partition, level 1 (bottom) first.
 
     The level-k slice marks, per row, how many parts are >= k; there are
-    max parts levels and their weights sum to the size.
+    max parts levels and their weights sum to the size.  Those counts are
+    the row's conjugate, read in one pass from its last part up, so the
+    cost is linear in the parts plus the levels times the rank.
     """
-    out = []
-    for k in range(1, cp.largest + 1):
-        white = tuple(sum(1 for p in row if p >= k) for row in cp.rows)
-        out.append(Slice(cp.profile, white))
-    return out
+    largest = cp.largest
+    columns = []
+    for row in cp.rows:
+        column = []
+        for j in range(len(row), 0, -1):
+            # parts 1..j are the ones >= each level up to row[j - 1]
+            column += [j] * (row[j - 1] - len(column))
+        columns.append(column + [0] * (largest - len(column)))
+    return [Slice(cp.profile, white) for white in zip(*columns)]
 
 
 def iter_slices(profile: Profile, max_weight: int):

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line surface."""
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -20,8 +22,9 @@ import cylgf
 from cylgf import cli, genfun, lemmas
 from cylgf.cli import _plain_args, build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
-from cylgf.record import Record
-from cylgf.series import NotAUnitError, Series
+from cylgf.record import InputError, Record
+from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpecError,
+                          Series)
 from cylgf.slices import SliceError, iter_slices
 
 
@@ -29,6 +32,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def package_exceptions():
+    """Every exception class defined in a module of src/cylgf."""
+    found = set()
+    for info in pkgutil.iter_modules(cylgf.__path__):
+        module = importlib.import_module(f"cylgf.{info.name}")
+        found.update(
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+#: The errors that no input can raise: one that escapes a command is a bug.
+CONTRACT_ERRORS = (SliceError, PochSpecError, OrderMismatchError,
+                   NotAUnitError)
 
 
 class TestExpand:
@@ -419,6 +439,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "decompose", "--json", TestDecompose.PART)
         assert code == 3 and out == ""
         assert err.startswith("internal error: SliceError:")
+
+    @pytest.mark.parametrize("error", package_exceptions(),
+                             ids=lambda cls: cls.__qualname__)
+    def test_every_package_error_is_classified(self, capsys, monkeypatch,
+                                               error):
+        # bad input or a contract violation, never an error in neither group
+        bad_input = issubclass(error, InputError)
+        assert bad_input != issubclass(error, CONTRACT_ERRORS)
+
+        def broken(cp):
+            raise error("message")
+
+        monkeypatch.setattr(cli, "decompose", broken)
+        code, out, err = run(capsys, "decompose", "--json", TestDecompose.PART)
+        assert out == ""
+        if bad_input:
+            assert (code, err) == (2, "error: message\n")
+        else:
+            assert (code, err) == (
+                3, f"internal error: {error.__name__}: message\n")
 
 
 # text in which no token can parse as an int: int() needs a decimal digit

@@ -1,5 +1,6 @@
 """Tests for profiles, validation, and the enumeration oracle."""
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgf.cli import main
-from cylgf.cylindric import (InequalityError, PartitionError, Profile,
-                             ProfileError, RowError, _walk, enumerate_table,
-                             iter_partitions, validate)
+from cylgf.cylindric import (PartitionError, Profile, ProfileError, _walk,
+                             enumerate_table, iter_partitions, validate)
 from cylgf.series import Series
 from reference import recursive_walk, walk_table
 
@@ -115,20 +115,22 @@ class TestValidate:
         assert (cp.size, cp.largest) == (8, 3)
 
     def test_cyclic_inequality_violation(self):
-        with pytest.raises(InequalityError) as err:
+        with pytest.raises(PartitionError) as err:
             validate(Profile((1, 1)), [(1, 1), ()])
         # last row over first: lambda^(2)_1 = 0 < lambda^(1)_2 = 1
-        assert err.value.lhs == 0 and err.value.rhs == 1
         assert str(err.value) == ("lambda^(2)_1 = 0 < 1 "
                                   "(required >= by the profile shift)")
 
     def test_row_errors(self):
-        with pytest.raises(RowError, match=r"^row 1 is not weakly decreasing"):
+        with pytest.raises(PartitionError,
+                           match=r"^row 1 is not weakly decreasing"):
             validate(Profile((1, 1)), [(1, 2), ()])
-        with pytest.raises(RowError, match=r"^row 1 contains a nonpositive"):
+        with pytest.raises(PartitionError,
+                           match=r"^row 1 contains a nonpositive"):
             validate(Profile((1, 1)), [(1, 0, -1), ()])
         # the nonpositive part is reported before the ascent it makes
-        with pytest.raises(RowError, match=r"^row 2 contains a nonpositive"):
+        with pytest.raises(PartitionError,
+                           match=r"^row 2 contains a nonpositive"):
             validate(Profile((1, 1)), [(), (2, 0, 1)])
 
     def test_row_count_mismatch(self):
@@ -138,6 +140,14 @@ class TestValidate:
     def test_trailing_zeros_stripped(self):
         cp = validate(Profile((1, 1)), [(2, 0, 0), (1,)])
         assert cp.rows == ((2,), (1,))
+
+    def test_many_trailing_zeros_strip_in_linear_time(self):
+        # stripping one zero at a time copies the row once per zero: about
+        # 19 s of process time on a 2-vCPU VM under CPython 3.11
+        start = time.process_time()
+        cp = validate(Profile((1, 1)), [[1] + [0] * 100_000, [1]])
+        assert time.process_time() - start < 2
+        assert cp.rows == ((1,), (1,))
 
     def test_empty_partition(self):
         cp = validate(Profile((2, 0)), [(), ()])

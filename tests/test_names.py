@@ -16,7 +16,7 @@ KEEP = {
     # the tests run every catalog tag from it
     "genfun.IDENTITY_TAGS",
     # the profiles whose series a catalog tag gives, for `verify --profile`
-    # (ROADMAP item 4); the tests check each pair
+    # (ROADMAP item 5); the tests check each pair
     "genfun.PROFILE_IDENTITIES",
 }
 
