@@ -10,10 +10,10 @@ an integer past the digit limit, unreadable or unwritable files,
 `verify --all` with `--id`); 3 for internal contract violations and any
 other unexpected exception.  All file output ends with a trailing newline
 and is byte-identical across runs of the same command.
-`--verbose`, taken by `expand`, `count` and `verify` only, also writes the
-command's work counters and time to stderr as one JSON object.  Each command
-below assembles its own output: the modules it calls return records and
-tuples, never text.  `verify` checks lemma tags in `lemmas`, other tags in
+`--verbose`, taken by every command, also writes the command's work
+counters and time to stderr as one JSON object.  Each command below
+assembles its own output: the modules it calls return records and tuples,
+never text.  `verify` checks lemma tags in `lemmas`, other tags in
 `genfun`.
 
 The option grammar is one table, `_COMMANDS`.  A plain argv (a command name,
@@ -132,19 +132,22 @@ def cmd_count(args) -> int:
 
 def cmd_flow(args) -> int:
     profile = _parse_profile(args.profile)
+    start = time.perf_counter()
     nodes, edges = flow_graph(profile, args.max_weight)
-    # the nodes share one profile, so a white tuple names one node
-    shapes = {s.white: shape(s) for s in nodes}
-    # nodes in (weight, shape, white) order, edges by their ends' ranks
-    order = sorted(nodes, key=lambda s: (s.weight, shapes[s.white], s.white))
-    rank = {s.white: k for k, s in enumerate(order)}
+    gray = baseline(profile)
+    # nodes in (weight, shape, white) order, edges by their ends' ranks; a
+    # white tuple is unique, so the keys alone sort
+    order = sorted((sum(t), shape(gray, t), t) for t in nodes)
+    names = {sh: shape_name(sh) for sh in {sh for _, sh, _ in order}}
+    rank = {t: k for k, (_, _, t) in enumerate(order)}
     lines = ["digraph sliceflow {"]
-    for k, s in enumerate(order):
-        name = shape_name(shapes[s.white])
-        lines.append(f'  n{k} [label="{name}q^{s.weight}"];')
-    for i, j in sorted((rank[u.white], rank[v.white]) for u, v in edges):
+    for k, (weight, sh, _) in enumerate(order):
+        lines.append(f'  n{k} [label="{names[sh]}q^{weight}"];')
+    for i, j in sorted((rank[u], rank[v]) for u, v in edges):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
+    if args.verbose:
+        _report({"nodes": len(nodes), "edges": len(edges)}, start)
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -256,11 +259,13 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
+    start = time.perf_counter()
     cp = validate(profile, rows)
     gray = baseline(profile)
+    levels = decompose(cp)
     lines = []
-    for k, s in enumerate(decompose(cp), start=1):
-        sh = shape(s)
+    for k, s in enumerate(levels, start=1):
+        sh = shape(gray, s.white)
         term = f"{shape_name(sh)}q^{s.weight}"
         lines.append(
             f"level {k}: t={s.white} weight={s.weight} shape={sh} term={term}")
@@ -269,6 +274,8 @@ def cmd_decompose(args) -> int:
             # row; empty trailing rows print no line
             lines.append("\n".join(
                 "." * b + "#" * t for b, t in zip(gray, s.white)).rstrip("\n"))
+    if args.verbose:
+        _report({"levels": len(levels), "size": cp.size}, start)
     _emit("\n".join(lines) if lines else "", args.out)
     return 0
 
@@ -311,7 +318,7 @@ _COMMANDS = (
      cmd_count),
     ("flow", "slice-flow graph as DOT",
      (_PROFILE, _OUT,
-      _option("--max-weight", _int_at_least(1), required=True)),
+      _option("--max-weight", _int_at_least(1), required=True), _VERBOSE),
      cmd_flow),
     ("verify", "audit series identities and lemmas",
      (_option("--id", help="identity tag, e.g. 1.2, A1, gasper, L4.2(2)"),
@@ -326,7 +333,7 @@ _COMMANDS = (
               help='inline JSON {"profile":[2,1],"rows":[[2,2,1],[3]]}'),
       _option("--file", help="path to a JSON partition file"),
       _option("--boards", "store_true", help="ASCII boards too"),
-      _OUT),
+      _OUT, _VERBOSE),
      cmd_decompose),
 )
 

@@ -6,6 +6,17 @@ shapes, minimal representatives, the single-square flow graph) is phrased
 in terms of these white counts.  A valid slice is also a pair (sigma, L) of
 its shape and its last-row length; `shape_floors` and `shape_difference`
 describe slices and their containment that way, for the chain DP.
+
+Slices grow one square at a time.  Row i of a valid slice t takes one more
+square, and the slice stays valid, iff t_i < t_{i-1} + c_i, cyclically: no
+other inequality gets tighter.  Every non-empty valid slice is such a growth
+of one of weight one less.  Suppose one had no square to remove.  Then
+t_{i+1} = t_i + c_{i+1} for every row with t_i >= 1, so the row after such a
+row has t_{i+1} >= 1 too; some row has, so every row has, and summing
+t_{i+1} - t_i = c_{i+1} once round the cylinder gives level 0, which no
+profile has.  So the valid slices of weight w + 1 are the growths of those
+of weight w, from the empty slice up (`iter_slices`), and the same rule
+gives the edges of `flow_graph`.
 """
 from __future__ import annotations
 
@@ -62,16 +73,14 @@ class Slice(Record):
         return sum(self.white)
 
 
-def shape(s: Slice) -> tuple[int, ...]:
+def shape(gray: tuple[int, ...], white: tuple[int, ...]) -> tuple[int, ...]:
     """Row-length differences against the last row; (r-1)-tuple.
 
+    `gray` is the profile's `baseline` and `white` a valid slice's counts.
     Unchanged when the same number of white squares is added to every row.
-    The slice is valid, since `Slice` checks that when it is built.
     """
-    b = baseline(s.profile)
-    r = s.profile.rank
-    last = b[r - 1] + s.white[r - 1]
-    return tuple(b[j] + s.white[j] - last for j in range(r - 1))
+    last = gray[-1] + white[-1]
+    return tuple([b + t - last for b, t in zip(gray[:-1], white)])
 
 
 def contains(inner: Slice, outer: Slice) -> bool:
@@ -103,37 +112,27 @@ def decompose(cp: CylindricPartition) -> list[Slice]:
     return [Slice(cp.profile, white) for white in zip(*columns)]
 
 
-def iter_slices(profile: Profile, max_weight: int):
-    """Non-empty valid slices with weight <= max_weight, lazily.
+def _growths(c: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The valid slices with one square more than the valid slice t, by row:
+    row i takes a square iff t_i < t_{i-1} + c_i, cyclically."""
+    return [t[:i] + (t[i] + 1,) + t[i + 1:]
+            for i in range(len(t)) if t[i] < t[i - 1] + c[i]]
 
-    Slices come out in (weight, white tuple) order: for each w up to
-    max_weight an odometer, one list and no recursion, turns out the tuples
-    of sum w in lexicographic order.  A free entry t_{i+1} only grows up to
-    t_i + c_{i+1}, the last entry t_r takes the room left, and only its two
-    edges are tested.  Nothing is collected or sorted, so a caller that
-    stops early pays only for the slices it consumed.
+
+def iter_slices(profile: Profile, max_weight: int):
+    """White tuples of the non-empty valid slices with weight <= max_weight,
+    lazily, in (weight, white tuple) order.
+
+    Each weight's slices are the one-square growths of the weight below
+    (module docstring), from the empty slice, collected in one set and
+    sorted.  Only valid slices are built, so a caller that stops early pays
+    for the weight layers up to the one it stopped in, and no more.
     """
     c = profile.parts
-    r = profile.rank
-    for w in range(1, max_weight + 1):
-        if r == 1:
-            yield Slice(profile, (w,))
-            continue
-        t = [0] * (r - 1) + [w]
-        while True:
-            if t[-1] <= t[-2] + c[-1] and t[0] <= t[-1] + c[0]:
-                yield Slice(profile, tuple(t))
-            # the rightmost free entry that may grow takes one unit of room;
-            # the free entries right of it give theirs back and go to 0
-            room, i = t[-1], r - 2
-            while i >= 0 and (not room or i and t[i] >= t[i - 1] + c[i]):
-                room += t[i]
-                t[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            t[i] += 1
-            t[-1] = room - 1
+    layer = [(0,) * profile.rank]
+    for _ in range(max_weight):
+        layer = sorted({u for t in layer for u in _growths(c, t)})
+        yield from layer
 
 
 def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
@@ -214,23 +213,15 @@ def shape_name(sh: tuple[int, ...]) -> str:
 
 def flow_graph(profile: Profile, max_weight: int):
     """The single-square-addition graph on the non-empty valid slices of
-    weight <= max_weight: the tuple of nodes, sorted by (weight, white
-    tuple), and the tuple of (u, v) edges, v having one white square more.
+    weight <= max_weight, as white tuples: the tuple of nodes, sorted by
+    (weight, white tuple), and the tuple of (u, v) edges, v having one white
+    square more.
 
-    One more square in row i of a node t below max_weight gives a node iff
-    t_i < t_{i-1} + c_i, cyclically: no other inequality gets tighter.  Only
-    a real edge builds its target, looked up by white tuple (KeyError if
-    the rule were wrong).  A max_weight below 1 gives the empty graph.
+    A node below max_weight has an edge to each of its one-square growths,
+    by row (module docstring).  A max_weight below 1 gives the empty graph.
     """
-    nodes = list(iter_slices(profile, max_weight))
-    by_white = {u.white: u for u in nodes}
     c = profile.parts
-    edges = []
-    for u in nodes:
-        t = u.white
-        if u.weight < max_weight:
-            for i in range(profile.rank):
-                if t[i] < t[i - 1] + c[i]:
-                    v = by_white[t[:i] + (t[i] + 1,) + t[i + 1:]]
-                    edges.append((u, v))
-    return tuple(nodes), tuple(edges)
+    nodes = tuple(iter_slices(profile, max_weight))
+    edges = tuple((t, u) for t in nodes if sum(t) < max_weight
+                  for u in _growths(c, t))
+    return nodes, edges

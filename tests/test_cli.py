@@ -364,9 +364,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         # options a command does not take
-        ["flow", "--profile", "2,1", "--max-weight", "2", "--verbose"],
+        ["flow", "--profile", "2,1", "--max-weight", "2", "--order", "3"],
         ["flow", "--profile", "2,1", "--max-weight", "2", "--format", "dot"],
-        ["decompose", "--json", TestDecompose.PART, "--verbose"],
+        ["decompose", "--json", TestDecompose.PART, "--profile", "2,1"],
         # a fixed-k lemma tag takes k and at most one block length
         ["verify", "--id", "L4.1(3,2,5)", "--order", "10"],
         ["verify", "--id", "L5.1(3,2,99)", "--order", "10"],
@@ -582,6 +582,35 @@ class TestVerbose:
                             "prefixes": table.prefixes, "walked": "1,2"}
         assert 0 < table.prefixes
 
+    @pytest.mark.parametrize("parts, max_weight", [((2, 1), 4), ((1, 1), 1),
+                                                   ((0, 1, 0, 1, 0, 0), 8)])
+    def test_flow(self, capsys, parts, max_weight):
+        argv = ["flow", "--profile", ",".join(map(str, parts)),
+                "--max-weight", str(max_weight)]
+        code, plain, quiet = run(capsys, *argv)
+        code_v, out, err = run(capsys, *argv, "--verbose")
+        assert code == code_v == 0 and out == plain and quiet == ""
+        counters = json.loads(err)
+        assert counters.pop("seconds") >= 0
+        assert counters == {"nodes": out.count("[label="),
+                            "edges": out.count("->")}
+        assert counters["nodes"] == len(list(
+            iter_slices(Profile(parts), max_weight)))
+
+    @pytest.mark.parametrize("rows, boards", [
+        ([[2, 2, 1], [3]], False), ([[2, 2, 1], [3]], True), ([[], []], False)])
+    def test_decompose(self, capsys, rows, boards):
+        argv = ["decompose", "--json",
+                json.dumps({"profile": [2, 1], "rows": rows})]
+        argv += ["--boards"] * boards
+        code, plain, quiet = run(capsys, *argv)
+        code_v, out, err = run(capsys, *argv, "--verbose")
+        assert code == code_v == 0 and out == plain and quiet == ""
+        counters = json.loads(err)
+        assert counters.pop("seconds") >= 0
+        assert counters == {"levels": max(map(len, rows)),
+                            "size": sum(map(sum, rows))}
+
     @pytest.mark.parametrize("argv, identities, lemma_specs", [
         (["--all", "--order", "12"], None, None),
         (["--id", "1.4", "--order", "20"], 1, 0),
@@ -713,8 +742,8 @@ class TestGolden:
     missing required options and an option given `--`, plus one run of
     each subcommand and the lemma-tag errors and lines of `verify`, runs
     that only argparse parses (`--order=3`, `--prof`, `--z-power=2`), the
-    `verify` csv table, boards with empty trailing rows and `verify --all`
-    with `--id`.
+    `verify` csv table, boards with empty trailing rows, `verify --all`
+    with `--id`, and two `flow` graphs of rank-6 profiles.
     """
 
     def test_cases_distinct(self):

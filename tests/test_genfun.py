@@ -16,7 +16,7 @@ from cylgf.genfun import (PROFILE_IDENTITIES, UnknownIdentityError, borodin,
 from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
                           product_expr)
-from cylgf.slices import contains, iter_slices
+from cylgf.slices import Slice, contains, iter_slices
 from reference import DUALITY_PAIRS, gapless_table
 
 # the profile orbits and top orders of the chain-dp benchmark workload
@@ -48,7 +48,7 @@ def scan_chain_table(profile, order, distinct=False):
     bound = Series.monomial(0, n).times((), [PochSpec(1, 1, 1)] * profile.rank)
     bits = bound.coeffs[n].bit_length()
     mask = (1 << (side * side * bits)) - 1
-    nodes = list(iter_slices(profile, n))
+    nodes = [Slice(profile, t) for t in iter_slices(profile, n)]
     g = []
     for s in nodes:
         w = s.weight
@@ -69,7 +69,7 @@ def scan_chain_table(profile, order, distinct=False):
 
 def distinct_chain_marginal(profile, n):
     """Chains with pairwise distinct levels, one q-series per slice, as lists."""
-    nodes = list(iter_slices(profile, n))
+    nodes = [Slice(profile, t) for t in iter_slices(profile, n)]
     ending = []
     total = [1] + [0] * n
     for s in nodes:
