@@ -159,7 +159,7 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
     if tag.startswith("L"):
         specs = lemmas.parse_tag(tag)
         work["lemma_specs"] += len(specs)
-        checks = (lemmas.verify_lemma(spec, order) for spec in specs)
+        checks = lemmas.verify_lemmas(specs, order)
         bad = next((b for b in checks if b is not None), None)
     else:
         work["identities"] += 1
@@ -170,9 +170,9 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
     return bad is None
 
 
-def _lemma_line(spec, order: int, lines: list[str]) -> bool:
-    """Check one spec of the --all grid and append its line."""
-    bad = lemmas.verify_lemma(spec, order)
+def _lemma_line(spec, order: int, bad, lines: list[str]) -> bool:
+    """Append the line of one spec of the --all grid, given its
+    `verify_lemmas` result."""
     status = "PASS" if bad is None else f"FAIL@q^{bad[0]}"
     k = "-" if spec.fixed_k is None else spec.fixed_k
     m_vec = "+".join(map(str, spec.blocks))
@@ -202,9 +202,10 @@ def cmd_verify(args) -> int:
                               work)
         lem = grid["lemmas"]
         order = args.order if args.order is not None else lem["order"]
-        for spec in lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"]):
-            work["lemma_specs"] += 1
-            ok &= _lemma_line(spec, order, lines)
+        specs = lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"])
+        work["lemma_specs"] += len(specs)
+        for spec, bad in zip(specs, lemmas.verify_lemmas(specs, order)):
+            ok &= _lemma_line(spec, order, bad, lines)
     elif args.id:
         order = args.order if args.order is not None else 40
         if args.format == "csv":

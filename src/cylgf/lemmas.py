@@ -95,57 +95,82 @@ def _term(base: Series, degree: int, start: int, count: int,
                       1 << halves)
 
 
-def nested_sum(spec: NestedSumSpec, order: int) -> Series:
-    """2^h times the multi-sum at the order, one chain pass per block.
+def nested_sums(family: str, vectors, order: int) -> dict:
+    """{blocks: the multi-sum at the order} for every block vector (a tuple)
+    of the family, all vectors evaluated as one trie of their prefixes.
 
     Block i depends on K_i = k_1 + ... + k_i alone, and the sum runs over
     1 <= K_1 < K_2 < ... < K_n.  So with S_1(K) the first block at K and
     S_i(K) = B_i(K) * sum_{K' < K} S_{i-1}(K'), the multi-sum is
-    sum_K S_n(K): each block is one pass over K with a running prefix sum
-    of the previous block's terms, each term that prefix times q^(numerator
-    degree) divided by the block's denominators (1 + q^(2K+2M_{i-1}+e+2j)),
-    j = 0..m_i.  K_i runs from i until the least degree of any full term
-    with that K_i (K_j = j before it, K_i + j - i after it) exceeds the
-    order.  A fixed-k spec is the one block's term at K = k, and only it
-    has h > 0.
+    sum_K S_n(K): each block is one pass over K that reads the prefix sums
+    of the previous block's terms, each term that prefix sum times
+    q^(numerator degree) divided by the block's denominators
+    (1 + q^(2K+2M_{i-1}+e+2j)), j = 0..m_i.  Block i's pass depends only on
+    the prefix (m_1, ..., m_i), so each distinct prefix is one trie node
+    that runs its pass once, and each node forms its prefix sums once for
+    all of its children.  For one vector, K_i runs from i until the least
+    degree of any full term with that K_i (K_j = j before it, K_i + j - i
+    after it) exceeds the order; a node runs to the largest such K_i of the
+    vectors through it, so a lone vector forms the terms it needs and no
+    more.  A vector whose least term lies past the order is the zero series
+    and builds no node.  The trie is walked depth first on an explicit
+    stack, and a node's prefix sums live only while a child still reads
+    them.
     """
-    blocks = spec.blocks
-    bases = [2 * before + spec.offset
-             for before in accumulate(blocks[:-1], initial=0)]
-    tails = list(accumulate(reversed(blocks)))[::-1]
+    e, zero = _OFFSETS[family], Series.zero(order)
+    sums, tops = {}, {}
+    for blocks in vectors:
+        bases = [2 * before + e for before in accumulate(blocks[:-1],
+                                                         initial=0)]
+        # the least term, K_j = j for every j, has degree low; with K_i = k
+        # it gains 2 (k - i) T_i, T_i = m_i + ... + m_n (i counted from 1)
+        low = sum(m * (2 * j + b + m)
+                  for j, (m, b) in enumerate(zip(blocks, bases), start=1))
+        if low > order:
+            sums[blocks] = zero
+            continue
+        sums[blocks] = None  # its leaf fills it in, in the order asked
+        tails = list(accumulate(reversed(blocks)))[::-1]
+        for i, tail in enumerate(tails):
+            key, top = blocks[:i + 1], i + 1 + (order - low) // (2 * tail)
+            tops[key] = max(tops.get(key, 0), top)
+    children = {}
+    for key in tops:
+        children.setdefault(key[:-1], []).append(key)
 
-    def degree(i: int, k: int) -> int:
-        """Numerator degree of block i at K_i = k."""
-        return blocks[i] * (2 * k + bases[i] + blocks[i])
-
-    def term(prefix: Series, i: int, k: int, halves: int = 0) -> Series:
-        """Block i at K_i = k times the prefix."""
-        return _term(prefix, degree(i, k), 2 * k + bases[i], blocks[i] + 1,
-                     halves)
-
+    # (node, base, prefix sums at K = first, first + 1, ...); the empty
+    # block is 1 at K = 0, so its prefix sums are 1 from K = 1 on
     one = Series.monomial(0, order)
+    stack = [(key, e, [one] * tops[key], 1) for key in children.get((), ())]
+    while stack:
+        key, base, prefix, first = stack.pop()
+        m, i = key[-1], len(key)
+        terms = [_term(prefix[k - first], m * (2 * k + base + m),
+                       2 * k + base, m + 1)
+                 for k in range(i, tops[key] + 1)]
+        if key in sums:
+            sums[key] = sum(terms, zero)
+        below = children.get(key)
+        if below:
+            # reads[j] = terms[0] + ... + terms[j], the prefix sum at
+            # K = i + j + 1, for every K a child reaches
+            need = max(tops[child] for child in below) - i
+            reads = list(accumulate(terms[:need]))
+            reads += reads[-1:] * (need - len(reads))
+            stack.extend((child, base + 2 * m, reads, i + 1)
+                         for child in below)
+    return sums
+
+
+def nested_sum(spec: NestedSumSpec, order: int) -> Series:
+    """2^h times the multi-sum at the order.  A fixed-k spec is the one
+    block's term at K = k, and only it has h > 0; any other spec is its
+    vector's entry of `nested_sums`, whose trie is then a single path."""
     if spec.fixed_k is not None:
-        return term(one, 0, spec.fixed_k, spec.halves)
-
-    # the least term, K_j = j for every j, has degree low; with K_i = k it
-    # gains 2 (k - i) T_i, T_i = m_i + ... + m_n (i counted from 1 here)
-    low = sum(degree(j, j + 1) for j in range(len(blocks)))
-    if low > order:
-        return Series.zero(order)
-
-    # (K, term) of the previous block; the empty block is 1 at K = 0
-    terms = [(0, one)]
-    for i in range(len(blocks)):
-        prefix, done, out = Series.zero(order), 0, []
-        k = i + 1
-        while low + 2 * (k - i - 1) * tails[i] <= order:
-            while done < len(terms) and terms[done][0] < k:
-                prefix = prefix + terms[done][1]
-                done += 1
-            out.append((k, term(prefix, i, k)))
-            k += 1
-        terms = out
-    return sum((series for _, series in terms), Series.zero(order))
+        m, base = spec.blocks[0], 2 * spec.fixed_k + spec.offset
+        return _term(Series.monomial(0, order), m * (base + m), base, m + 1,
+                     spec.halves)
+    return nested_sums(spec.family, [spec.blocks], order)[spec.blocks]
 
 
 def closed_form(spec: NestedSumSpec, order: int) -> Series:
@@ -166,22 +191,33 @@ def closed_form(spec: NestedSumSpec, order: int) -> Series:
                  den=[PochSpec(1, x, 1, 1) for x in minus])
 
 
-def verify_lemma(spec: NestedSumSpec, order: int):
-    """None on success, else (degree, lhs, rhs) at the first degree where
-    the sum (lhs) and the closed form (rhs) differ.
+def verify_lemmas(specs, order: int) -> list:
+    """For each spec, None on success, else (degree, lhs, rhs) at the first
+    degree where the sum (lhs) and the closed form (rhs) differ.  The
+    non-fixed specs of a family share one `nested_sums` trie.
 
     Both sides carry the same 2^h, which changes neither their equality nor
     the first degree where they differ; only the two values of a mismatch
     are divided back, as Fractions when h > 0.
     """
-    bad = first_mismatch(nested_sum(spec, order), closed_form(spec, order))
-    if bad is None or not spec.halves:
-        return bad
-    from fractions import Fraction
+    vectors = {}
+    for spec in specs:
+        if spec.fixed_k is None:
+            vectors.setdefault(spec.family, []).append(spec.blocks)
+    sums = {family: nested_sums(family, blocks, order)
+            for family, blocks in vectors.items()}
+    results = []
+    for spec in specs:
+        lhs = (nested_sum(spec, order) if spec.fixed_k is not None
+               else sums[spec.family][spec.blocks])
+        bad = first_mismatch(lhs, closed_form(spec, order))
+        if bad is not None and spec.halves:
+            from fractions import Fraction
 
-    degree, lhs, rhs = bad
-    scale = 2 ** spec.halves
-    return degree, Fraction(lhs, scale), Fraction(rhs, scale)
+            scale = 2 ** spec.halves
+            bad = bad[0], Fraction(bad[1], scale), Fraction(bad[2], scale)
+        results.append(bad)
+    return results
 
 
 def grid(n_max: int, m_max: int, k_max: int):

@@ -178,8 +178,11 @@ class Series(Record):
 
 def first_mismatch(a: Series, b: Series) -> tuple[int, int, int] | None:
     """(degree, lhs, rhs) at the earliest degree where the two series
-    differ, or None if they are equal."""
+    differ, or None if they are equal: equal tuples compare in C, and
+    only unequal ones are scanned."""
     a._check_order(b)
+    if a.coeffs == b.coeffs:
+        return None
     for n, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs)):
         if ca != cb:
             return n, ca, cb

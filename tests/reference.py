@@ -9,13 +9,18 @@ enumeration oracle's walk as plain recursion, one call per partition,
 without its pruning of the rows between the first and the last;
 `walk_table` counts by (largest part, size) from it, the reference for
 `cylindric.enumerate_table`, and `gapless_table` counts the partitions
-that skip no part value, the reference for `chain-distinct`.  No command of
-the package needs any of them.
+that skip no part value, the reference for `chain-distinct`;
+`block_nested_sum` evaluates one nested-sum spec by its own block passes,
+the reference for `lemmas.nested_sums`.  No command of the package needs
+any of them.
 """
+from itertools import accumulate
 from math import comb
 
 from cylgf.cylindric import (CylindricPartition, PartitionError, Profile,
                              iter_partitions, validate)
+from cylgf.lemmas import NestedSumSpec, _term
+from cylgf.series import Series
 from cylgf.slices import Slice, SliceError, contains
 
 #: profiles sharing one generating function under rank-level duality
@@ -142,3 +147,56 @@ def gapless_table(profile: Profile, order: int) -> tuple[tuple[int, ...], ...]:
         if {v for row in cp.rows for v in row} == set(range(1, cp.largest + 1)):
             counts[cp.largest][cp.size] += 1
     return tuple(map(tuple, counts))
+
+
+def block_nested_sum(spec: NestedSumSpec, order: int) -> Series:
+    """2^h times the multi-sum at the order, one chain pass per block.
+
+    Block i depends on K_i = k_1 + ... + k_i alone, and the sum runs over
+    1 <= K_1 < K_2 < ... < K_n.  So with S_1(K) the first block at K and
+    S_i(K) = B_i(K) * sum_{K' < K} S_{i-1}(K'), the multi-sum is
+    sum_K S_n(K): each block is one pass over K with a running prefix sum
+    of the previous block's terms, each term that prefix times q^(numerator
+    degree) divided by the block's denominators (1 + q^(2K+2M_{i-1}+e+2j)),
+    j = 0..m_i.  K_i runs from i until the least degree of any full term
+    with that K_i (K_j = j before it, K_i + j - i after it) exceeds the
+    order.  A fixed-k spec is the one block's term at K = k, and only it
+    has h > 0.
+    """
+    blocks = spec.blocks
+    bases = [2 * before + spec.offset
+             for before in accumulate(blocks[:-1], initial=0)]
+    tails = list(accumulate(reversed(blocks)))[::-1]
+
+    def degree(i: int, k: int) -> int:
+        """Numerator degree of block i at K_i = k."""
+        return blocks[i] * (2 * k + bases[i] + blocks[i])
+
+    def term(prefix: Series, i: int, k: int, halves: int = 0) -> Series:
+        """Block i at K_i = k times the prefix."""
+        return _term(prefix, degree(i, k), 2 * k + bases[i], blocks[i] + 1,
+                     halves)
+
+    one = Series.monomial(0, order)
+    if spec.fixed_k is not None:
+        return term(one, 0, spec.fixed_k, spec.halves)
+
+    # the least term, K_j = j for every j, has degree low; with K_i = k it
+    # gains 2 (k - i) T_i, T_i = m_i + ... + m_n (i counted from 1 here)
+    low = sum(degree(j, j + 1) for j in range(len(blocks)))
+    if low > order:
+        return Series.zero(order)
+
+    # (K, term) of the previous block; the empty block is 1 at K = 0
+    terms = [(0, one)]
+    for i in range(len(blocks)):
+        prefix, done, out = Series.zero(order), 0, []
+        k = i + 1
+        while low + 2 * (k - i - 1) * tails[i] <= order:
+            while done < len(terms) and terms[done][0] < k:
+                prefix = prefix + terms[done][1]
+                done += 1
+            out.append((k, term(prefix, i, k)))
+            k += 1
+        terms = out
+    return sum((series for _, series in terms), Series.zero(order))

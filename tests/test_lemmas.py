@@ -1,11 +1,16 @@
 """Tests for the nested-sum identities and their closed forms."""
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylgf.cli import _lemma_line
+import reference
+from cylgf import lemmas
+from cylgf.cli import _lemma_line, main
 from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, _term, closed_form,
-                          grid, nested_sum, verify_lemma)
+                          grid, nested_sum, nested_sums, verify_lemmas)
 from cylgf.series import PochSpec, Series
 
 
@@ -67,7 +72,8 @@ class TestSpec:
         # family C at k = 0 would have the factor (1 + q^(2k - 1)) = (1 + q^-1)
         with pytest.raises(LemmaSpecError, match="fixed_k = 0"):
             NestedSumSpec("C", (1,), fixed_k=0)
-        assert verify_lemma(NestedSumSpec("C", (1,), fixed_k=1), 20) is None
+        assert verify_lemmas([NestedSumSpec("C", (1,), fixed_k=1)],
+                             20) == [None]
 
     def test_offsets(self):
         assert NestedSumSpec("A", (1,)).offset == 0
@@ -87,7 +93,7 @@ class TestFixedK:
         assert lhs == expected
         assert all(type(c) is int for c in lhs.coeffs)
         assert all(type(c) is int for c in closed_form(spec, n).coeffs)
-        assert verify_lemma(spec, n) is None
+        assert verify_lemmas([spec], n) == [None]
         # _term takes a (1+q^0) off the 2^h itself; the series kernels take
         # e >= 1.  2 / ((1 + q^0)(1 + q^2)) = 1 - q^2 + q^4 - ...
         r = _term(Series.monomial(0, 4), 0, 0, 2, 1)
@@ -101,7 +107,7 @@ class TestFixedK:
         lhs = nested_sum(spec, n)
         den = one_plus_q(4, n) * one_plus_q(6, n)
         assert lhs == den.invert() * Series.monomial(5, n)
-        assert verify_lemma(spec, n) is None
+        assert verify_lemmas([spec], n) == [None]
 
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -119,7 +125,8 @@ class TestFixedK:
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_partial_fraction_split(self, family, k, m):
-        assert verify_lemma(NestedSumSpec(family, (m,), fixed_k=k), 40) is None
+        assert verify_lemmas([NestedSumSpec(family, (m,), fixed_k=k)],
+                             40) == [None]
 
 
 class TestNestedSum:
@@ -171,6 +178,152 @@ class TestNestedSum:
             assert cut == nested_sum(spec, 30)
 
 
+
+#: the 39 block vectors of each family in the pinned grid(3, 3, 6)
+GRID_VECTORS = [spec.blocks for spec in grid(3, 3, 6)
+                if spec.family == "A" and spec.fixed_k is None]
+
+
+def count_terms(monkeypatch):
+    """A list whose length counts the `_term` calls of lemmas and of the
+    reference from here on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return _term(*args, **kwargs)
+
+    monkeypatch.setattr(lemmas, "_term", counted)
+    monkeypatch.setattr(reference, "_term", counted)
+    return calls
+
+
+class TestTrie:
+    """`nested_sums` against the per-spec block passes of the reference."""
+
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    @pytest.mark.parametrize("order", [0, 1, 7, 12, 40, 64, 100])
+    def test_grid_equals_reference(self, family, order):
+        assert len(GRID_VECTORS) == 39
+        sums = nested_sums(family, GRID_VECTORS, order)
+        assert list(sums) == GRID_VECTORS
+        for blocks in GRID_VECTORS:
+            expected = reference.block_nested_sum(
+                NestedSumSpec(family, blocks), order)
+            assert sums[blocks] == expected, blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from("ABC"), order=st.integers(0, 60),
+           vectors=st.lists(
+               st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+               min_size=1, max_size=6, unique=True),
+           huge=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 3)))
+    def test_any_vectors_equal_reference_alone_or_together(
+            self, family, order, vectors, huge):
+        if huge is not None:
+            # one entry of 10^8: that vector's least term lies past the order
+            at, i = huge
+            at %= len(vectors)
+            blocks = list(vectors[at])
+            blocks[i % len(blocks)] = 10 ** 8
+            vectors[at] = tuple(blocks)
+        together = nested_sums(family, vectors, order)
+        assert list(together) == list(dict.fromkeys(vectors))
+        for blocks in vectors:
+            expected = reference.block_nested_sum(
+                NestedSumSpec(family, blocks), order)
+            assert together[blocks] == expected, blocks
+            assert nested_sums(family, [blocks], order) == {blocks: expected}
+
+    @pytest.mark.parametrize("order", [12, 40, 64])
+    def test_lone_vector_forms_the_reference_terms(self, monkeypatch, order):
+        calls = count_terms(monkeypatch)
+        for family in "ABC":
+            for blocks in GRID_VECTORS:
+                spec = NestedSumSpec(family, blocks)
+                del calls[:]
+                nested_sum(spec, order)
+                alone = len(calls)
+                del calls[:]
+                reference.block_nested_sum(spec, order)
+                assert alone == len(calls), (family, blocks)
+
+    def test_grid_shares_block_passes(self, monkeypatch):
+        # block terms of the 117 non-fixed grid sums, trie against one
+        # vector at a time; the saving grows with the order
+        calls = count_terms(monkeypatch)
+        counts = {}
+        for order in (12, 40, 64, 100):
+            del calls[:]
+            for family in "ABC":
+                nested_sums(family, GRID_VECTORS, order)
+            trie = len(calls)
+            del calls[:]
+            for family in "ABC":
+                for blocks in GRID_VECTORS:
+                    reference.block_nested_sum(NestedSumSpec(family, blocks),
+                                               order)
+            counts[order] = trie, len(calls)
+        assert counts == {12: (28, 32), 40: (325, 468), 64: (893, 1371),
+                          100: (2070, 3274)}
+
+    def test_huge_vectors_build_no_node(self, monkeypatch):
+        # the least degree comes before any prefix is sliced: 20,000 blocks
+        # and a block of 10^8 cost no term
+        calls = count_terms(monkeypatch)
+        many, huge = (1,) * 20000, (99999999,)
+        sums = nested_sums("A", [many, huge], 10)
+        assert sums == {many: Series.zero(10), huge: Series.zero(10)}
+        assert calls == []
+
+
+class TestMismatchReport:
+    """A closed form off by q^order in one spec: the batch and the one-spec
+    path name the same degree and values."""
+
+    @pytest.mark.parametrize("target, tag", [
+        (NestedSumSpec("A", (1,), fixed_k=0), "L4.1(0,1)"),
+        (NestedSumSpec("B", (2,), fixed_k=3), "L5.1(3,2)"),
+        (NestedSumSpec("C", (2, 1, 3)), "L5.5(2,1,3)"),
+        (NestedSumSpec("A", (1,)), "L4.2(1)"),
+    ], ids=["L4.1(0,1)", "L5.1(3,2)", "L5.5(2,1,3)", "L4.2(1)"])
+    def test_batch_and_single_agree(self, monkeypatch, capsys, target, tag):
+        order = 40
+        true_closed_form = closed_form
+
+        def bumped(spec, n):
+            series = true_closed_form(spec, n)
+            if spec == target:
+                series = series + Series.monomial(n, n)
+            return series
+
+        monkeypatch.setattr(lemmas, "closed_form", bumped)
+        lhs = reference.block_nested_sum(target, order).coeffs[order]
+        scale = 2 ** target.halves
+        expected = (order, Fraction(lhs, scale), Fraction(lhs + 1, scale))
+        specs = grid(3, 3, 6)
+        assert target in specs
+        results = verify_lemmas(specs, order)
+        assert [spec for spec, bad in zip(specs, results)
+                if bad is not None] == [target]
+        bad = results[specs.index(target)]
+        assert bad == expected
+        assert verify_lemmas([target], order) == [bad]
+        assert all(type(value) is (Fraction if scale > 1 else int)
+                   for value in bad[1:])
+        # the --id line names the values, the --all line the degree
+        assert main(["verify", "--id", tag, "--order", str(order)]) == 1
+        assert capsys.readouterr().out == (
+            f"{tag},order={order},FAIL@q^{order} lhs={bad[1]} rhs={bad[2]}\n")
+        assert main(["verify", "--all", "--order", str(order)]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if "FAIL" in line]
+        k = "-" if target.fixed_k is None else target.fixed_k
+        assert fails == [f"{target.family},{len(target.blocks)},"
+                         f"{'+'.join(map(str, target.blocks))},{k},{order},"
+                         f"FAIL@q^{order}"]
+
+
 class TestClosedForm:
     def test_family_a_m1(self):
         # (q^2/(1-q^2)) * (q/(1+q^2))
@@ -209,8 +362,8 @@ class TestVerify:
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_small_grid(self, family):
         for blocks in [(1,), (3,), (1, 2), (2, 2), (1, 1, 1), (3, 1, 2)]:
-            assert verify_lemma(NestedSumSpec(family, blocks), 40) is None, \
-                (family, blocks)
+            assert verify_lemmas([NestedSumSpec(family, blocks)], 40) \
+                == [None], (family, blocks)
 
     def test_grid_contents(self):
         specs = grid(2, 2, 1)
@@ -222,7 +375,9 @@ class TestVerify:
     def test_report_line(self):
         # the --all grid line is formatted by the cli
         lines = []
-        ok = _lemma_line(NestedSumSpec("A", (1, 2), fixed_k=None), 20, lines)
+        spec = NestedSumSpec("A", (1, 2), fixed_k=None)
+        ok = _lemma_line(spec, 20, *verify_lemmas([spec], 20), lines)
         assert ok and lines == ["A,2,1+2,-,20,PASS"]
-        ok = _lemma_line(NestedSumSpec("B", (2,), fixed_k=3), 20, lines)
+        spec = NestedSumSpec("B", (2,), fixed_k=3)
+        ok = _lemma_line(spec, 20, *verify_lemmas([spec], 20), lines)
         assert ok and lines[1:] == ["B,1,2,3,20,PASS"]

@@ -442,6 +442,21 @@ class TestMisc:
         assert bad == (1, 1, 2) and type(bad) is tuple
         assert first_mismatch(a, a) is None
 
+    @pytest.mark.parametrize("at", [None, 0, 3, 7])
+    def test_first_mismatch_at_each_place(self, at):
+        # equal series (a distinct but equal tuple), and a first difference
+        # at degree 0, in the middle and at the last degree
+        a = Series.from_coeffs([5, -1, 0, 10 ** 40, 2, 0, 3, 9])
+        coeffs = list(a.coeffs)
+        if at is not None:
+            coeffs[at] += 1
+            coeffs[-1] -= at != len(coeffs) - 1  # a later difference too
+        b = Series.from_coeffs(coeffs)
+        expected = None if at is None else (at, a.coeffs[at], coeffs[at])
+        assert first_mismatch(a, b) == expected
+        with pytest.raises(OrderMismatchError):
+            first_mismatch(a, Series.from_coeffs(coeffs[:-1]))
+
     def test_json_round_trip(self, capsys, monkeypatch):
         # expand --format json writes each coefficient as a decimal string,
         # exact for halves and big integers alike
