@@ -18,10 +18,14 @@ with K_i = k_1+..+k_i and M_i = m_1+..+m_i.  The closed form telescopes to
 
 with M = M_n and suffix sums T_i = m_i+..+m_n.  The fixed-k variants keep
 k as an explicit parameter (k >= 0, one block): the sum side is the block's
-term at K = k, and the identity is its partial-fraction split.  One helper,
-`_term`, builds every term of both sides from a single progression of
-denominators (1+q^a)(1+q^(a+2))...  The fixed-k family-A identity at k = 0
-carries the one rational factor of the package, 1/(1+q^0) = 1/2.  A spec
+term at K = k, and the identity is its partial-fraction split.
+`nested_sums` evaluates the sums of many block vectors of one family at
+once: block i depends only on the prefix (m_1, ..., m_i), so each block
+pass runs once per distinct prefix, and `verify_lemmas` checks a batch of
+specs through it.  One helper, `_term`, builds every term of both sides
+from a single progression of denominators (1+q^a)(1+q^(a+2))...  The
+fixed-k family-A identity at k = 0 carries the one rational factor of the
+package, 1/(1+q^0) = 1/2.  A spec
 knows its power of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere),
 and both sides are computed as 2^h times their series, so every coefficient
 stays an int.
@@ -117,7 +121,7 @@ def nested_sums(family: str, vectors, order: int) -> dict:
     stack, and a node's prefix sums live only while a child still reads
     them.
     """
-    e, zero = _OFFSETS[family], Series.zero(order)
+    e = _OFFSETS[family]
     sums, tops = {}, {}
     for blocks in vectors:
         bases = [2 * before + e for before in accumulate(blocks[:-1],
@@ -127,7 +131,7 @@ def nested_sums(family: str, vectors, order: int) -> dict:
         low = sum(m * (2 * j + b + m)
                   for j, (m, b) in enumerate(zip(blocks, bases), start=1))
         if low > order:
-            sums[blocks] = zero
+            sums[blocks] = Series.zero(order)
             continue
         sums[blocks] = None  # its leaf fills it in, in the order asked
         tails = list(accumulate(reversed(blocks)))[::-1]
@@ -138,34 +142,36 @@ def nested_sums(family: str, vectors, order: int) -> dict:
     for key in tops:
         children.setdefault(key[:-1], []).append(key)
 
-    # (node, base, prefix sums at K = first, first + 1, ...); the empty
-    # block is 1 at K = 0, so its prefix sums are 1 from K = 1 on
+    # (node, base, prefix sums of its parent at K = i, i + 1, ...), i the
+    # node's depth; the empty block is 1 at K = 0, so its prefix sums are 1
     one = Series.monomial(0, order)
-    stack = [(key, e, [one] * tops[key], 1) for key in children.get((), ())]
+    stack = [(key, e, [one] * tops[key]) for key in children.get((), ())]
     while stack:
-        key, base, prefix, first = stack.pop()
+        key, base, prefix = stack.pop()
         m, i = key[-1], len(key)
-        terms = [_term(prefix[k - first], m * (2 * k + base + m),
-                       2 * k + base, m + 1)
+        terms = [_term(prefix[k - i], m * (2 * k + base + m), 2 * k + base,
+                       m + 1)
                  for k in range(i, tops[key] + 1)]
+        # reads[j] = terms[0] + ... + terms[j], the prefix sum at
+        # K = i + j + 1; its last entry is the node's whole sum
+        reads = list(accumulate(terms))
         if key in sums:
-            sums[key] = sum(terms, zero)
+            sums[key] = reads[-1]
         below = children.get(key)
         if below:
-            # reads[j] = terms[0] + ... + terms[j], the prefix sum at
-            # K = i + j + 1, for every K a child reaches
+            # a child may reach past this node's terms
             need = max(tops[child] for child in below) - i
-            reads = list(accumulate(terms[:need]))
             reads += reads[-1:] * (need - len(reads))
-            stack.extend((child, base + 2 * m, reads, i + 1)
-                         for child in below)
+            stack.extend((child, base + 2 * m, reads) for child in below)
     return sums
 
 
 def nested_sum(spec: NestedSumSpec, order: int) -> Series:
     """2^h times the multi-sum at the order.  A fixed-k spec is the one
     block's term at K = k, and only it has h > 0; any other spec is its
-    vector's entry of `nested_sums`, whose trie is then a single path."""
+    vector's entry of `nested_sums`, whose trie is then a single path of
+    one block pass per block.  Batched with other vectors of its family,
+    as `verify_lemmas` does, it shares each pass of a common prefix."""
     if spec.fixed_k is not None:
         m, base = spec.blocks[0], 2 * spec.fixed_k + spec.offset
         return _term(Series.monomial(0, order), m * (base + m), base, m + 1,

@@ -743,7 +743,9 @@ class TestGolden:
     each subcommand and the lemma-tag errors and lines of `verify`, runs
     that only argparse parses (`--order=3`, `--prof`, `--z-power=2`), the
     `verify` csv table, boards with empty trailing rows, `verify --all`
-    with `--id`, and two `flow` graphs of rank-6 profiles.
+    with `--id`, two `flow` graphs of rank-6 profiles, `verify --all` at
+    its default orders and at order 64, and a three-block lemma tag whose
+    least degree, 48, lies below its order.
     """
 
     def test_cases_distinct(self):
