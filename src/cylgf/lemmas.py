@@ -25,10 +25,9 @@ pass runs once per distinct prefix, and `verify_lemmas` checks a batch of
 specs through it.  One helper, `_term`, builds every term of both sides
 from a single progression of denominators (1+q^a)(1+q^(a+2))...  The
 fixed-k family-A identity at k = 0 carries the one rational factor of the
-package, 1/(1+q^0) = 1/2.  A spec
-knows its power of two h (`NestedSumSpec.halves`, 1 there and 0 elsewhere),
-and both sides are computed as 2^h times their series, so every coefficient
-stays an int.
+package, 1/(1+q^0) = 1/2.  A spec knows its power of two h
+(`NestedSumSpec.halves`, 1 there and 0 elsewhere), and both sides are
+computed as 2^h times their series, so every coefficient stays an int.
 `parse_tag` reads the lemma tags of `cylgf verify --id`, such as "L4.2(2)".
 """
 from __future__ import annotations

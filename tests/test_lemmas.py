@@ -204,13 +204,17 @@ class TestTrie:
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     @pytest.mark.parametrize("order", [0, 1, 7, 12, 40, 64, 100])
     def test_grid_equals_reference(self, family, order):
+        # in grid order each prefix comes before its extensions; reversed,
+        # a node is first reached from its longest vector, which needs the
+        # fewest K there
         assert len(GRID_VECTORS) == 39
-        sums = nested_sums(family, GRID_VECTORS, order)
-        assert list(sums) == GRID_VECTORS
-        for blocks in GRID_VECTORS:
-            expected = reference.block_nested_sum(
-                NestedSumSpec(family, blocks), order)
-            assert sums[blocks] == expected, blocks
+        expected = {blocks: reference.block_nested_sum(
+            NestedSumSpec(family, blocks), order) for blocks in GRID_VECTORS}
+        for vectors in (GRID_VECTORS, GRID_VECTORS[::-1]):
+            sums = nested_sums(family, vectors, order)
+            assert list(sums) == vectors
+            for blocks in vectors:
+                assert sums[blocks] == expected[blocks], blocks
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from("ABC"), order=st.integers(0, 60),
