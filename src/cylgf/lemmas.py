@@ -148,12 +148,12 @@ def nested_sums(family: str, vectors, order: int) -> dict:
     while stack:
         key, base, prefix = stack.pop()
         m, i = key[-1], len(key)
-        terms = [_term(prefix[k - i], m * (2 * k + base + m), 2 * k + base,
-                       m + 1)
-                 for k in range(i, tops[key] + 1)]
-        # reads[j] = terms[0] + ... + terms[j], the prefix sum at
-        # K = i + j + 1; its last entry is the node's whole sum
-        reads = list(accumulate(terms))
+        # reads[j] is the sum of the node's terms at K = i, ..., i + j, the
+        # prefix sum at K = i + j + 1; its last entry is the node's whole
+        # sum, and no term outlives its addition
+        reads = list(accumulate(
+            _term(prefix[k - i], m * (2 * k + base + m), 2 * k + base, m + 1)
+            for k in range(i, tops[key] + 1)))
         if key in sums:
             sums[key] = reads[-1]
         below = children.get(key)
