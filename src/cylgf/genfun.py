@@ -1,10 +1,12 @@
 """Three independent routes to the same generating functions.
 
 * borodin: the closed-form infinite product for F_c(1, q).
-* chain_series: the slice-chain DP, refined by the largest-part statistic
-  (z-degree) and the size (q-degree) for the callers that read F_c(z, q)
-  (the tests and the benchmark checks), or run at z = 1 for `expand`, which
-  prints only F_c(1, q).
+* chain_series: the slice-chain DP, the paper's method of weighted words:
+  each last-row length keeps down-set sums over the lattice of shape
+  letters, from which the chains inside each slice are read.  It is
+  refined by the largest-part statistic (z-degree) and the size (q-degree)
+  for the callers that read F_c(z, q) (the tests and the benchmark checks),
+  or run at z = 1 for `expand`, which prints only F_c(1, q).
 * catalog_sides: a table of named series identities, one row per tag
   (the lemma tags L4.x, L5.x belong to `lemmas`), read by one evaluator.
   Each sum is kept by its term ratio and built term from previous term,
@@ -17,7 +19,7 @@ from __future__ import annotations
 from .cylindric import Profile
 from .record import InputError, Record
 from .series import PochSpec, Series, pochhammer, product_expr
-from .slices import baseline, shape_difference, shape_floors
+from .slices import baseline, shape_floors
 
 
 class UnknownIdentityError(InputError):
@@ -62,8 +64,8 @@ class ChainGF(Record):
 
     A table folded at z = 1 (`chain_series(..., refined=False)`) is one row,
     table = (row,) with row[n] = [q^n] F_c(1, q); `marginal` reads both.
-    The last four fields count the work done (slices, shapes, prefix sums
-    added, packed slot width); equality and hashing leave them out.
+    The last four fields count the work done (slices, shapes, shape-lattice
+    sums read, packed slot width); equality and hashing leave them out.
     """
 
     __slots__ = ("profile", "order", "distinct", "table",
@@ -98,24 +100,48 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     part of the recomposed cylindric partition.
 
     A slice is a shape letter sigma with a last-row length L
-    (`slices.shape_floors`), and (sigma', L') lies inside (sigma, L) exactly
-    when L - L' >= d(sigma', sigma) = max(0, max_j (sigma'_j - sigma_j)),
-    the weighted-words difference condition.  Strictly inside means
-    L - L' >= e(sigma', sigma), with e = d for sigma' != sigma and e = 1 for
-    sigma' = sigma.  g(sigma, L) collects the chains whose largest (bottom)
-    slice is (sigma, L), and P_sigma[L] = sum of g(sigma, L'') over L'' <= L,
-    so the chains below (sigma, L), with the empty one, number
-    inner = 1 + sum over sigma' of P_sigma'[L - e(sigma', sigma)].  Slices
-    are visited in (L, sum(sigma)) order: an inner slice has a smaller L,
-    or the same L (d = 0) and a smaller shape sum, so every prefix read is
-    complete.
+    (`slices.shape_floors`), whose row j has length sigma_j + L (sigma_r =
+    0).  So (sigma', L'') lies inside (sigma, L) exactly when L'' <= L and
+    sigma' <= sigma + (L - L'') entrywise, capped at the level: the
+    weighted-words difference condition L - L'' >= d(sigma', sigma) =
+    max(0, max_j (sigma'_j - sigma_j)).  g(sigma, L) collects the chains
+    whose largest (bottom) slice is (sigma, L); it is 0 unless (sigma, L) is
+    a slice of weight <= N.  Each last-row length L keeps two lists over all
+    shapes:
+
+    * H_L(sigma), the sum of g(sigma', L) over sigma' <= sigma entrywise;
+    * T_L(sigma) = H_L(sigma) + T_{L-1}(sigma+), with sigma+ =
+      (min(sigma_j + 1, level))_j, the sum of g over every slice inside
+      (sigma, L), itself included.
+
+    The slices strictly inside (sigma, L) are those with a smaller L, whose
+    sum is T_{L-1}(sigma+), and those of the same L strictly below sigma.
+    The shapes strictly below sigma form the union of the down-sets under
+    sigma - e_j, j a removable corner (sigma_j > sigma_{j+1}, taking
+    sigma_r = 0): a shape sigma' < sigma lies below sigma - e_j for the last
+    j with sigma'_j < sigma_j, which is a corner.  The down-sets under
+    sigma - e_j for j in a set A of corners meet in the down-set under
+    sigma - A, also a shape.  So by inclusion-exclusion
+    S = sum over non-empty A of (-1)^(|A|+1) H_L(sigma - A), the chains below
+    (sigma, L), with the empty one, number inner = 1 + T_{L-1}(sigma+) + S,
+    and H_L(sigma) = S + g(sigma, L).  Shapes are visited in `shape_floors`
+    order, in which sigma - A comes before sigma, and T_{L-1} is complete
+    before layer L starts.  A shape with c corners costs 2^c reads,
+    c <= min(r - 1, level), one of them of T_{L-1}; no pair of letters is
+    ever compared.  `shape_pairs` counts the reads.
 
     Each (z, q) table is one int (Kronecker substitution): z^m q^k sits in
     the B-bit slot k*(N+1) + m, so a table add is one big-int add.  An entry
     counts distinct cylindric partitions of one size k <= N, whose r rows
     are partitions of total size k, so it is at most [q^N] (q;q)_oo^{-r}
     (nondecreasing in N); B is the bit length of that bound, so no slot
-    carries into the next.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
+    carries into the next.  The same holds for every H, T and inner: each
+    of their slots counts partitions of one size (with the empty one at
+    k = 0).  The partial sums of the inclusion-exclusion may leave a slot
+    negative or past 2^B, borrowing from or carrying into the next; but
+    they are exact integer sums, S ends as the packing of its exact slots,
+    and no partial sum is ever masked.  Only inner and the repetition terms
+    are.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
     Nonzero cells have m <= k and w >= 1, so a term with k + jw <= N has
     m + j <= N and keeps its row; a term past q^N lands at slot (N+1)^2 or
     above, where the mask drops it.  The repetition sum over
@@ -135,51 +161,60 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     bound = product_expr([], [PochSpec(1, 1, 1)] * profile.rank, n)
     bits = bound.coeffs[n].bit_length()
     mask = (1 << (side * z_slots * bits)) - 1
-    r, base = profile.rank, sum(baseline(profile))
+    r, level, base = profile.rank, profile.level, sum(baseline(profile))
     floors = shape_floors(profile)
-    # the shapes with a slice of weight sum(sigma) + r*L - sum(b) <= N:
-    # sigma, sum(sigma) and the range of L
-    letters = []
+    index = {sh: k for k, sh in enumerate(floors)}
+    # per shape sigma: its floor, the last L of a slice of weight <= N, its
+    # weight less r*L, the index of sigma+, and the indices of sigma - A for
+    # the non-empty sets A of removable corners, |A| odd and |A| even
+    shapes = []
     for sh, low in floors.items():
+        below = [(sh, -1)]  # sigma - A with its sign (-1)^(|A|+1)
+        for j, (s, after) in enumerate(zip(sh, sh[1:] + (0,))):
+            if s > after:
+                below += [(t[:j] + (s - 1,) + t[j + 1:], -sign)
+                          for t, sign in below]
         size = sum(sh)
-        high = (n + base - size) // r
-        if low <= high:
-            letters.append((sh, size, low, high))
-    # per letter sigma, pairs (sigma', L_min(sigma') + e(sigma', sigma)): at
-    # last-row length L, P_sigma' is read at list index L minus that offset
-    reads = [[(k2, low2 + (1 if k2 == k else shape_difference(sh2, sh)))
-              for k2, (sh2, _, low2, _) in enumerate(letters)]
-             for k, (sh, _, _, _) in enumerate(letters)]
-    prefix: list[list[int]] = [[] for _ in letters]
-    nodes = pairs = 0
-    for length in range(min((x[2] for x in letters), default=1),
-                        max((x[3] for x in letters), default=0) + 1):
-        for k, (_, size, low, high) in enumerate(letters):
-            if not low <= length <= high:
-                continue
-            terms = [prefix[k2][length - off] for k2, off in reads[k]
-                     if off <= length]
-            pairs += len(terms)
-            inner = 1 + sum(terms)
-            w = size + r * length - base
-            span = (w * z_slots + refined) * bits
-            cur = (inner << span) & mask
-            if not distinct:
-                reps = 1
-                while reps < n // w:
-                    cur = (cur + (cur << span)) & mask
-                    span *= 2
-                    reps *= 2
-            p = prefix[k]
-            p.append(p[-1] + cur if p else cur)
-            nodes += 1
+        shapes.append((low, (n + base - size) // r, size - base,
+                       index[tuple([min(s + 1, level) for s in sh])],
+                       [index[t] for t, sign in below if sign > 0],
+                       [index[t] for t, sign in below[1:] if sign < 0]))
+    spans = [(low, high) for low, high, *_ in shapes if low <= high]
+    lengths = range(min((low for low, _ in spans), default=1),
+                    max((high for _, high in spans), default=0) + 1)
+    total, nodes = 1, 0
+    inside_below = [0] * len(shapes)  # T_{L-1}, 0 below the least L
+    for length in lengths:
+        down, inside = [], []  # H_L and T_L
+        for low, high, w0, up, odd, even in shapes:
+            s = 0
+            for k in odd:
+                s += down[k]
+            for k in even:
+                s -= down[k]
+            if low <= length <= high:
+                w = w0 + r * length
+                span = (w * z_slots + refined) * bits
+                cur = ((1 + inside_below[up] + s) << span) & mask
+                if not distinct:
+                    # doublings until 2^steps >= floor(N/w) terms
+                    for _ in range((n // w - 1).bit_length()):
+                        cur = (cur + (cur << span)) & mask
+                        span *= 2
+                s += cur
+                total += cur
+                nodes += 1
+            down.append(s)
+            inside.append(s + inside_below[up])
+        inside_below = inside
+    reads = len(lengths) * sum(len(odd) + len(even) + 1
+                               for *_, odd, even in shapes)
 
-    total = 1 + sum(p[-1] for p in prefix)
     row_mask, slot_mask = (1 << z_slots * bits) - 1, (1 << bits) - 1
     rows = [total >> k * z_slots * bits & row_mask for k in range(side)]
     table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
                   for m in range(z_slots))
-    return ChainGF(profile, n, distinct, table, nodes, len(floors), pairs,
+    return ChainGF(profile, n, distinct, table, nodes, len(floors), reads,
                    bits)
 
 

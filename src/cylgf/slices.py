@@ -4,8 +4,11 @@ A slice records, per row, how many white squares sit to the right of the
 gray staircase the profile induces.  Everything downstream (containment,
 shapes, minimal representatives, the single-square flow graph) is phrased
 in terms of these white counts.  A valid slice is also a pair (sigma, L) of
-its shape and its last-row length; `shape_floors` and `shape_difference`
-describe slices and their containment that way, for the chain DP.
+its shape and its last-row length, and `shape_floors` lists the shapes
+with their least last-row lengths for the chain DP.  Row j of (sigma, L) has
+length sigma_j + L, so containment is entrywise order on the shapes, shifted
+by the difference in L (the difference condition between shape letters),
+and the chain DP reads it off sums over the lattice of shapes.
 
 Slices grow one square at a time.  Row i of a valid slice t takes one more
 square, and the slice stays valid, iff t_i < t_{i-1} + c_i, cyclically: no
@@ -155,16 +158,6 @@ def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
                     key=lambda sh: (sum(sh), sh))
     return {sh: max([b[-1]] + [x - s for x, s in zip(b, sh)]) + (sh == gray)
             for sh in shapes}
-
-
-def shape_difference(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
-    """d(sigma', sigma) = max(0, max_j (sigma'_j - sigma_j)).
-
-    The slice (sigma', L') lies inside (sigma, L) exactly when
-    L - L' >= d(sigma', sigma), since row j of a slice has length
-    sigma_j + L: the difference condition between the shape letters.
-    """
-    return max([0] + [a - b for a, b in zip(inner, outer)])
 
 
 def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:

@@ -1,6 +1,9 @@
 """Reference code that only the tests use.
 
 `recompose` inverts `slices.decompose` from the definition,
+`shape_difference` is the difference condition between two shape letters,
+`chain_visits` counts the (shape, last-row length) pairs the chain DP
+visits,
 `DUALITY_PAIRS` lists the profiles that share one generating function under
 rank-level duality, `zero_one_valid` tests white counts against the
 definition, and `comb_shape_name` names a shape with one `comb` per
@@ -21,7 +24,7 @@ from cylgf.cylindric import (CylindricPartition, PartitionError, Profile,
                              iter_partitions, validate)
 from cylgf.lemmas import NestedSumSpec, _term
 from cylgf.series import Series
-from cylgf.slices import Slice, SliceError, contains
+from cylgf.slices import Slice, SliceError, baseline, contains, shape_floors
 
 #: profiles sharing one generating function under rank-level duality
 DUALITY_PAIRS = (
@@ -53,6 +56,32 @@ def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:
             sum(1 for s in levels if s.white[i] >= j) for j in range(1, depth + 1)
         ))
     return CylindricPartition(profile, tuple(rows))
+
+
+def shape_difference(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
+    """d(sigma', sigma) = max(0, max_j (sigma'_j - sigma_j)).
+
+    The slice (sigma', L') lies inside (sigma, L) exactly when
+    L - L' >= d(sigma', sigma), since row j of a slice has length
+    sigma_j + L: the difference condition between the shape letters, which
+    `genfun.chain_series` reads through sums over the lattice of shapes.
+    """
+    return max([0] + [a - b for a, b in zip(inner, outer)])
+
+
+def chain_visits(profile: Profile, order: int) -> int:
+    """(shape, L) pairs that `genfun.chain_series` visits: every shape at
+    every last-row length L from the least floor of a slice of weight
+    sum(sigma) + r*L - sum(b) <= order to the greatest such L."""
+    base = sum(baseline(profile))
+    floors = shape_floors(profile)
+    spans = [(low, (order + base - sum(sh)) // profile.rank)
+             for sh, low in floors.items()]
+    spans = [(low, high) for low, high in spans if low <= high]
+    if not spans:
+        return 0
+    return len(floors) * (max(high for _, high in spans)
+                          - min(low for low, _ in spans) + 1)
 
 
 def zero_one_valid(profile: Profile, white: tuple[int, ...]) -> bool:

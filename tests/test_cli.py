@@ -26,6 +26,7 @@ from cylgf.record import InputError, Record
 from cylgf.series import (NotAUnitError, OrderMismatchError, PochSpecError,
                           Series)
 from cylgf.slices import SliceError, iter_slices
+from reference import chain_visits
 
 
 def run(capsys, *argv):
@@ -566,8 +567,10 @@ class TestVerbose:
                 iter_slices(Profile((2, 1)), 12)))
             # C(level + rank - 1, rank - 1) shapes, level 3 and rank 2
             assert counters["shapes"] == comb(3 + 2 - 1, 2 - 1)
-            assert (0 < counters["shape_pairs"]
-                    <= counters["nodes"] * counters["shapes"])
+            # each visited (shape, L) reads 2^c lattice sums, c <= 1 the
+            # shape's removable corners: 1 read for (0), 2 for (1)-(3)
+            visits = chain_visits(Profile((2, 1)), 12)
+            assert counters["shape_pairs"] == visits // 4 * (1 + 2 + 2 + 2)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_count(self, capsys, fmt):
@@ -744,8 +747,10 @@ class TestGolden:
     that only argparse parses (`--order=3`, `--prof`, `--z-power=2`), the
     `verify` csv table, boards with empty trailing rows, `verify --all`
     with `--id`, two `flow` graphs of rank-6 profiles, `verify --all` at
-    its default orders and at order 64, and a three-block lemma tag whose
-    least degree, 48, lies below its order.
+    its default orders and at order 64, a three-block lemma tag whose
+    least degree, 48, lies below its order, and both chain methods in both
+    formats on (4,3,2,1) at order 40 and (1,1,1,1,1,1) at order 30, whose
+    shapes have up to 3 and 5 removable corners.
     """
 
     def test_cases_distinct(self):

@@ -17,11 +17,25 @@ from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
                           product_expr)
 from cylgf.slices import Slice, contains, iter_slices
-from reference import DUALITY_PAIRS, gapless_table
+from reference import DUALITY_PAIRS, chain_visits, gapless_table
 
 # the profile orbits and top orders of the chain-dp benchmark workload
 CHAIN_ORBITS = [((1, 1), 50), ((2, 1), 40), ((1, 0, 1), 34), ((1, 1, 1), 28),
                 ((2, 1, 1), 28), ((1, 0, 0, 1), 25)]
+
+
+# profiles of levels 6-10 and ranks 3-6, where a shape has up to 5 corners
+HIGH_LEVELS = [(4, 3, 2, 1), (3, 3, 3), (2, 2, 2, 2), (1, 1, 1, 1, 1, 1)]
+
+
+@st.composite
+def small_profiles(draw, top=6):
+    """Profiles of rank and level at most top, zero parts included: a
+    level cut into rank parts at sorted points."""
+    rank, level = draw(st.integers(1, top)), draw(st.integers(1, top))
+    cuts = sorted(draw(st.lists(st.integers(0, level), min_size=rank - 1,
+                                max_size=rank - 1)))
+    return Profile(tuple(b - a for a, b in zip([0] + cuts, cuts + [level])))
 
 
 def partition_numbers(n):
@@ -242,6 +256,39 @@ class TestChainSeries(ChainMarginals):
                     g = chain_series(profile, order, distinct)
                     assert g.table == table, (profile, order, distinct)
                     assert g.nodes == nodes, (profile, order, distinct)
+
+    @pytest.mark.parametrize("parts", HIGH_LEVELS)
+    def test_high_levels_equal_borodin_and_scan(self, parts):
+        # the folded marginal against the product to q^60, and the refined
+        # tables of both methods against the containment scan
+        profile = Profile(parts)
+        assert (chain_series(profile, 60, refined=False).marginal()
+                == borodin(profile, 60))
+        for distinct in (False, True):
+            table, nodes = scan_chain_table(profile, 9, distinct)
+            g = chain_series(profile, 9, distinct)
+            assert (g.table, g.nodes) == (table, nodes), distinct
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=small_profiles(), order=st.integers(0, 8),
+           distinct=st.booleans())
+    def test_equals_scan_to_rank_and_level_six(self, profile, order,
+                                               distinct):
+        table, nodes = scan_chain_table(profile, order, distinct)
+        g = chain_series(profile, order, distinct)
+        assert (g.table, g.nodes) == (table, nodes)
+        folded = chain_series(profile, order, distinct, refined=False)
+        assert folded.marginal() == g.marginal()
+
+    def test_lattice_reads_at_level_six(self):
+        # each visited (shape, L) reads at most 2^min(r - 1, level) lattice
+        # sums, far fewer than one per pair of a slice and a letter
+        profile = Profile((1, 1, 1, 1, 1, 1))
+        g = chain_series(profile, 30, refined=False)
+        visits = chain_visits(profile, 30)
+        assert (g.nodes, g.shapes, visits) == (2016, 462, 462 * 8)
+        assert g.nodes < g.shape_pairs <= visits * 2 ** 5
+        assert 20 * g.shape_pairs < g.nodes * g.shapes
 
     @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
     @pytest.mark.parametrize("distinct", [False, True])

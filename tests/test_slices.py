@@ -11,8 +11,9 @@ from cylgf.cylindric import Profile, iter_partitions, validate
 from cylgf.cli import main
 from cylgf.slices import (Slice, SliceError, baseline, contains,
                           decompose, flow_graph, iter_slices, min_slices,
-                          shape, shape_difference, shape_floors, shape_name)
-from reference import comb_shape_name, recompose, zero_one_valid
+                          shape, shape_floors, shape_name)
+from reference import (comb_shape_name, recompose, shape_difference,
+                       zero_one_valid)
 from test_cylindric import all_profiles
 
 
