@@ -16,6 +16,8 @@
 """
 from __future__ import annotations
 
+from math import isqrt
+
 from .cylindric import Profile
 from .record import InputError, Record
 from .series import PochSpec, Series, pochhammer, product_expr
@@ -64,8 +66,10 @@ class ChainGF(Record):
 
     A table folded at z = 1 (`chain_series(..., refined=False)`) is one row,
     table = (row,) with row[n] = [q^n] F_c(1, q); `marginal` reads both.
-    The last four fields count the work done (slices, shapes, shape-lattice
-    sums read, packed slot width); equality and hashing leave them out.
+    The last four fields count the work of the pass that filled the table
+    (slices, shapes, shape-lattice sums read, packed slot width: W(r, N)
+    folded, the bit length of the largest [q^k] F_c(1, q) refined); equality
+    and hashing leave them out.
     """
 
     __slots__ = ("profile", "order", "distinct", "table",
@@ -131,17 +135,16 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     ever compared.  `shape_pairs` counts the reads.
 
     Each (z, q) table is one int (Kronecker substitution): z^m q^k sits in
-    the B-bit slot k*(N+1) + m, so a table add is one big-int add.  An entry
-    counts distinct cylindric partitions of one size k <= N, whose r rows
-    are partitions of total size k, so it is at most [q^N] (q;q)_oo^{-r}
-    (nondecreasing in N); B is the bit length of that bound, so no slot
-    carries into the next.  The same holds for every H, T and inner: each
-    of their slots counts partitions of one size (with the empty one at
-    k = 0).  The partial sums of the inclusion-exclusion may leave a slot
-    negative or past 2^B, borrowing from or carrying into the next; but
-    they are exact integer sums, S ends as the packing of its exact slots,
-    and no partial sum is ever masked.  Only inner and the repetition terms
-    are.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
+    the B-bit slot k*(N+1) + m, so a table add is one big-int add.  A slot
+    of the table, or of any H, T, inner or repetition term, counts chains of
+    one size k <= N with m levels (cylindric partitions, the empty one at
+    k = 0): a subset of the f_k = [q^k] F_c(1, q) chains that the table
+    counts at size k.  B keeps every f_k below 2^B (see below), so no slot
+    carries into the next.  The partial sums of the inclusion-exclusion may
+    leave a slot negative or past 2^B, borrowing from or carrying into the
+    next; but they are exact integer sums, S ends as the packing of its
+    exact slots, and no partial sum is ever masked.  Only inner and the
+    repetition terms are.  z^j q^{jw} is a shift by j*(w*(N+1)+1) slots.
     Nonzero cells have m <= k and w >= 1, so a term with k + jw <= N has
     m + j <= N and keeps its row; a term past q^N lands at slot (N+1)^2 or
     above, where the mask drops it.  The repetition sum over
@@ -151,16 +154,24 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
 
     With refined=False the same loop runs at z = 1: q^k sits in slot k, a
     level of weight w repeated j times is a shift by j*w slots, the mask
-    keeps N+1 slots, and the result is the one row table = (row,).  A slot
-    still counts the cylindric partitions of one size k <= N, so B is the
-    same.  `expand` asks for this layout, as it prints only F_c(1, q); the
-    default (N+1)^2 layout is the reference for F_c(z, q).
+    keeps N+1 slots, and the result is the one row table = (row,), f_0..f_N.
+    `expand` asks for this layout, as it prints only F_c(1, q); the default
+    (N+1)^2 layout is the reference for F_c(z, q).
+
+    The slot width.  The r rows of a cylindric partition of size k are
+    partitions of total size k, so f_k <= p_r(k) <= p_r(N) =
+    [q^N] (q;q)_oo^(-r), and for every t > 0, with P(x) = 1/(x;x)_oo:
+      p_r(N) e^(-Nt) <= P(e^-t)^r <= exp(r pi^2 / (6t)), as
+      log P(e^-t) = sum_m 1/(m (e^(mt) - 1)) <= sum_m 1/(m^2 t);
+      t = pi sqrt(r/(6N)) gives p_r(N) <= e^(pi sqrt(2rN/3)) for N >= 1,
+    which is below 2^sqrt(13.7 rN), as 2 pi^2 / (3 ln^2 2) = 13.695...  So
+    the folded layout packs at B = W(r, N) = isqrt(137*r*N // 10) + 1, at
+    least the bit length of p_r(N), in int arithmetic alone.  A refined call
+    runs the folded pass first and then the same loop, on the same lattice,
+    at B = the bit length of the largest f_k: every slot (m, k) is at most
+    f_k.  At a low level that is far below W: 36 bits against 75 at
+    (1,1,0,0), N = 100.
     """
-    n, side = order, order + 1
-    z_slots = side if refined else 1
-    bound = product_expr([], [PochSpec(1, 1, 1)] * profile.rank, n)
-    bits = bound.coeffs[n].bit_length()
-    mask = (1 << (side * z_slots * bits)) - 1
     r, level, base = profile.rank, profile.level, sum(baseline(profile))
     floors = shape_floors(profile)
     index = {sh: k for k, sh in enumerate(floors)}
@@ -175,13 +186,33 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
                 below += [(t[:j] + (s - 1,) + t[j + 1:], -sign)
                           for t, sign in below]
         size = sum(sh)
-        shapes.append((low, (n + base - size) // r, size - base,
+        shapes.append((low, (order + base - size) // r, size - base,
                        index[tuple([min(s + 1, level) for s in sh])],
                        [index[t] for t, sign in below if sign > 0],
                        [index[t] for t, sign in below[1:] if sign < 0]))
     spans = [(low, high) for low, high, *_ in shapes if low <= high]
     lengths = range(min((low for low, _ in spans), default=1),
                     max((high for _, high in spans), default=0) + 1)
+    reads = len(lengths) * sum(len(odd) + len(even) + 1
+                               for *_, odd, even in shapes)
+
+    bits = isqrt(137 * r * order // 10) + 1
+    table, nodes = _chain_pass(shapes, lengths, order, r, distinct, False,
+                               bits)
+    if refined:
+        bits = max(table[0]).bit_length()
+        table, nodes = _chain_pass(shapes, lengths, order, r, distinct, True,
+                                   bits)
+    return ChainGF(profile, order, distinct, table, nodes, len(floors), reads,
+                   bits)
+
+
+def _chain_pass(shapes, lengths, n, r, distinct, refined, bits):
+    """One run of `chain_series`'s loop over the shape lattice in the layout
+    that `refined` names, at slot width `bits`: the table and its nodes."""
+    side = n + 1
+    z_slots = side if refined else 1
+    mask = (1 << (side * z_slots * bits)) - 1
     total, nodes = 1, 0
     inside_below = [0] * len(shapes)  # T_{L-1}, 0 below the least L
     for length in lengths:
@@ -207,15 +238,11 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
             down.append(s)
             inside.append(s + inside_below[up])
         inside_below = inside
-    reads = len(lengths) * sum(len(odd) + len(even) + 1
-                               for *_, odd, even in shapes)
 
     row_mask, slot_mask = (1 << z_slots * bits) - 1, (1 << bits) - 1
     rows = [total >> k * z_slots * bits & row_mask for k in range(side)]
-    table = tuple(tuple(row >> m * bits & slot_mask for row in rows)
-                  for m in range(z_slots))
-    return ChainGF(profile, n, distinct, table, nodes, len(floors), reads,
-                   bits)
+    return tuple(tuple(row >> m * bits & slot_mask for row in rows)
+                 for m in range(z_slots)), nodes
 
 
 # --- identity catalog ------------------------------------------------------

@@ -571,6 +571,8 @@ class TestVerbose:
             # shape's removable corners: 1 read for (0), 2 for (1)-(3)
             visits = chain_visits(Profile((2, 1)), 12)
             assert counters["shape_pairs"] == visits // 4 * (1 + 2 + 2 + 2)
+            # the folded layout packs at W(2, 12) = isqrt(137 * 24 // 10) + 1
+            assert counters["slot_bits"] == 19
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_count(self, capsys, fmt):
@@ -750,7 +752,10 @@ class TestGolden:
     its default orders and at order 64, a three-block lemma tag whose
     least degree, 48, lies below its order, and both chain methods in both
     formats on (4,3,2,1) at order 40 and (1,1,1,1,1,1) at order 30, whose
-    shapes have up to 3 and 5 removable corners.
+    shapes have up to 3 and 5 removable corners, and on (1,1,0,0) at order
+    100, (2,1) at order 150 and (1,0,0,0,0,0,0,0) at order 100, where the
+    chain DP's folded slot width W(r, N) exceeds the bit length of
+    [q^N] (q;q)_oo^(-r) by 13-23 bits.
     """
 
     def test_cases_distinct(self):

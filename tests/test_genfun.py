@@ -3,6 +3,7 @@ import itertools
 import json
 from collections import Counter
 from importlib.resources import files
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,12 @@ def small_profiles(draw, top=6):
     cuts = sorted(draw(st.lists(st.integers(0, level), min_size=rank - 1,
                                 max_size=rank - 1)))
     return Profile(tuple(b - a for a, b in zip([0] + cuts, cuts + [level])))
+
+
+def slot_width(rank, order):
+    """W(r, N), the folded layout's slot width: p_r(N) <= e^(pi sqrt(2rN/3))
+    < 2^sqrt(13.7 rN), so p_r(N) has at most this many bits."""
+    return isqrt(137 * rank * order // 10) + 1
 
 
 def partition_numbers(n):
@@ -150,12 +157,13 @@ class ChainMarginals:
 
     @pytest.mark.parametrize("parts", [(1,), (3,)])
     def test_rank_one_is_partition_numbers(self, parts):
-        # rank 1: every partition is cylindric, so the marginal reaches the
-        # slot bound [q^N] 1/(q;q)_oo = p(N) exactly
+        # rank 1: every partition is cylindric, so the marginal is p(0..N);
+        # the z-table packs at the bit length of p(N), the folded row at
+        # W(1, 60) = isqrt(822) + 1
         g = self.chain(Profile(parts), 60)
         p = partition_numbers(60)
         assert list(g.marginal().coeffs) == p
-        assert g.slot_bits == p[60].bit_length()
+        assert g.slot_bits == (p[60].bit_length() if self.refined else 29)
 
     @pytest.mark.parametrize("parts,order", CHAIN_ORBITS)
     def test_chain_equals_borodin_at_benchmark_orders(self, parts, order):
@@ -178,7 +186,9 @@ class TestFoldedChainSeries(ChainMarginals):
 
     def test_equals_refined_marginal(self):
         # every profile of rank 1-4 and level 1-4, zero parts included: the
-        # z = 1 layout gives the same marginal and the same work counters
+        # z = 1 layout gives the same marginal and the same work counters;
+        # it packs at W(r, N), the z-table at the bit length of the largest
+        # coefficient of the folded row
         cases = 0
         for rank in range(1, 5):
             for parts in itertools.product(range(5), repeat=rank):
@@ -192,10 +202,50 @@ class TestFoldedChainSeries(ChainMarginals):
                         folded = self.chain(Profile(parts), order, distinct)
                         assert folded.marginal() == full.marginal(), key
                         assert ([folded.nodes, folded.shapes,
-                                 folded.shape_pairs, folded.slot_bits]
+                                 folded.shape_pairs]
                                 == [full.nodes, full.shapes,
-                                    full.shape_pairs, full.slot_bits]), key
+                                    full.shape_pairs]), key
+                        assert (folded.slot_bits
+                                == slot_width(len(parts), order)), key
+                        assert (full.slot_bits
+                                == max(folded.table[0]).bit_length()), key
         assert cases == 1210
+
+
+class TestSlotWidth:
+    """The packed slot widths of `chain_series` against the expansion of
+    (q;q)_oo^(-r), whose coefficient p_r(N) bounds every slot."""
+
+    def test_folded_width_bounds_rank_partitions(self):
+        # W(r, N) >= the bit length of p_r(N) for ranks 1-8 and N <= 400,
+        # and the folded layout packs at W(r, N)
+        for rank in range(1, 9):
+            bound = product_expr([], [PochSpec(1, 1, 1)] * rank, 400)
+            for order, count in enumerate(bound.coeffs):
+                assert slot_width(rank, order) >= count.bit_length(), \
+                    (rank, order)
+            profile = Profile((1,) + (0,) * (rank - 1))
+            for order in (0, 7, 60):
+                g = chain_series(profile, order, refined=False)
+                assert g.slot_bits == slot_width(rank, order), (rank, order)
+
+    @pytest.mark.parametrize("distinct, bits", [(False, 36), (True, 28)])
+    def test_refined_width_is_folded_maximum(self, distinct, bits):
+        # far below p_4(100), 59 bits, and W(4, 100) = 75 at a low level
+        profile = Profile((1, 1, 0, 0))
+        folded = chain_series(profile, 100, distinct, refined=False)
+        full = chain_series(profile, 100, distinct)
+        assert full.marginal() == folded.marginal()
+        assert full.slot_bits == max(folded.table[0]).bit_length() == bits
+        assert folded.slot_bits == slot_width(4, 100) == 75
+
+    def test_refined_equals_borodin_at_order_100(self):
+        # past every scan and enumeration test, where f_N is far below the
+        # p_r(N) of the folded width
+        for parts in PROFILE_IDENTITIES:
+            profile = Profile(parts)
+            assert (chain_series(profile, 100).marginal()
+                    == borodin(profile, 100)), parts
 
 
 class TestChainSeries(ChainMarginals):
