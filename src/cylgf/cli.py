@@ -13,8 +13,10 @@ and is byte-identical across runs of the same command.
 `--verbose`, taken by every command, also writes the command's work
 counters and time to stderr as one JSON object.  Each command below
 assembles its own output: the modules it calls return records and tuples,
-never text.  `verify` checks lemma tags in `lemmas`, other tags in
-`genfun`.
+never text.  A command returns (exit code, output text, counters or None),
+its counters built only under `--verbose`; `main` alone times it, writes
+the counters and writes the text to stdout or `--out`.  `verify` checks
+lemma tags in `lemmas`, other tags in `genfun`.
 
 The option grammar is one table, `_COMMANDS`.  A plain argv (a command name,
 then exact option strings of that command, each value option followed by a
@@ -61,78 +63,52 @@ def _int_at_least(low: int):
     return parse
 
 
-def _emit(text: str, out: str | None):
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
-
-
-def _report(counters: dict, start: float):
-    """For --verbose: the work counters and seconds as one JSON line on
-    stderr; stdout is not touched."""
-    counters["seconds"] = round(time.perf_counter() - start, 6)
-    print(json.dumps(counters), file=sys.stderr)
-
-
-def cmd_expand(args) -> int:
+def cmd_expand(args):
     profile = _parse_profile(args.profile)
-    start = time.perf_counter()
+    work = None
     if args.method == "borodin":
         series = genfun.borodin(profile, args.order)
         if args.verbose:
-            _report({"factors": len(genfun.borodin_specs(profile))}, start)
+            work = {"factors": len(genfun.borodin_specs(profile))}
     else:
         distinct = args.method == "chain-distinct"
         gf = genfun.chain_series(profile, args.order, distinct,
                                   refined=False)
         series = gf.marginal()
         if args.verbose:
-            _report({"nodes": gf.nodes, "shapes": gf.shapes,
-                     "shape_pairs": gf.shape_pairs,
-                     "slot_bits": gf.slot_bits}, start)
+            work = {"nodes": gf.nodes, "shapes": gf.shapes,
+                    "shape_pairs": gf.shape_pairs, "slot_bits": gf.slot_bits}
     if args.format == "json":
         # decimal strings keep big coefficients exact in any JSON reader
-        _emit(json.dumps({"order": series.order,
-                          "coeffs": [str(c) for c in series.coeffs]}),
-              args.out)
+        text = json.dumps({"order": series.order,
+                           "coeffs": [str(c) for c in series.coeffs]})
     else:
-        _emit("[" + ", ".join(map(str, series.coeffs)) + "]", args.out)
-    return 0
+        text = "[" + ", ".join(map(str, series.coeffs)) + "]"
+    return 0, text, work
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     profile = _parse_profile(args.profile)
-    start = time.perf_counter()
     table = enumerate_table(profile, args.order)
+    work = None
     if args.verbose:
-        _report({"partitions": sum(map(sum, table.counts)),
-                 "prefixes": table.prefixes,
-                 "walked": ",".join(map(str, table.walked.parts))}, start)
+        work = {"partitions": sum(map(sum, table.counts)),
+                "prefixes": table.prefixes,
+                "walked": ",".join(map(str, table.walked.parts))}
     if args.format == "json":
-        payload = {
-            "profile": list(profile.parts),
-            "order": table.order,
-            "counts": [list(row) for row in table.counts],
-        }
-        _emit(json.dumps(payload), args.out)
+        text = json.dumps({"profile": list(profile.parts),
+                           "order": table.order,
+                           "counts": [list(row) for row in table.counts]})
     else:
         lines = ["max,size,count"]
         for m, row in enumerate(table.counts):
             lines += [f"{m},{n},{k}" for n, k in enumerate(row) if k]
-        _emit("\n".join(lines), args.out)
-    return 0
+        text = "\n".join(lines)
+    return 0, text, work
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args):
     profile = _parse_profile(args.profile)
-    start = time.perf_counter()
     nodes, edges = flow_graph(profile, args.max_weight)
     gray = baseline(profile)
     # nodes in (weight, shape, white) order, edges by their ends' ranks; a
@@ -146,10 +122,8 @@ def cmd_flow(args) -> int:
     for i, j in sorted((rank[u], rank[v]) for u, v in edges):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
-    if args.verbose:
-        _report({"nodes": len(nodes), "edges": len(edges)}, start)
-    _emit("\n".join(lines), args.out)
-    return 0
+    work = {"nodes": len(nodes), "edges": len(edges)} if args.verbose else None
+    return 0, "\n".join(lines), work
 
 
 def _verify_one(tag: str, order: int, z_power, lines: list[str],
@@ -181,7 +155,7 @@ def _lemma_line(spec, order: int, bad, lines: list[str]) -> bool:
     return bad is None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.z_power is not None and (args.all or args.id != "gasper"):
         raise InputError("--z-power applies only to --id gasper")
     if args.format == "csv" and (args.all or (args.id or "").startswith("L")):
@@ -191,7 +165,6 @@ def cmd_verify(args) -> int:
     lines: list[str] = []
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
-    start = time.perf_counter()
     if args.all:
         from importlib.resources import files
 
@@ -220,10 +193,7 @@ def cmd_verify(args) -> int:
             ok = _verify_one(args.id, order, args.z_power, lines, work)
     else:
         raise InputError("verify needs --id or --all")
-    if args.verbose:
-        _report(work, start)
-    _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return 0 if ok else 1, "\n".join(lines), work if args.verbose else None
 
 
 def _parse_partition(data) -> tuple[Profile, list]:
@@ -240,7 +210,7 @@ def _parse_partition(data) -> tuple[Profile, list]:
     return Profile(tuple(data["profile"])), data["rows"]
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -260,7 +230,6 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError(f"bad partition JSON: {exc}")
     profile, rows = _parse_partition(data)
-    start = time.perf_counter()
     cp = validate(profile, rows)
     gray = baseline(profile)
     levels = decompose(cp)
@@ -275,10 +244,8 @@ def cmd_decompose(args) -> int:
             # row; empty trailing rows print no line
             lines.append("\n".join(
                 "." * b + "#" * t for b, t in zip(gray, s.white)).rstrip("\n"))
-    if args.verbose:
-        _report({"levels": len(levels), "size": cp.size}, start)
-    _emit("\n".join(lines) if lines else "", args.out)
-    return 0
+    work = {"levels": len(levels), "size": cp.size} if args.verbose else None
+    return 0, "\n".join(lines), work
 
 
 def _option(flag, kind=None, choices=None, required=False, default=None,
@@ -428,7 +395,24 @@ def main(argv=None) -> int:
                       "expected a value, got '--'", file=sys.stderr)
                 return 2
     try:
-        return args.fn(args)
+        # `seconds` spans the command: reading and checking its input, the
+        # work and the formatting, not the write
+        start = time.perf_counter()
+        code, text, work = args.fn(args)
+        if work is not None:
+            work["seconds"] = round(time.perf_counter() - start, 6)
+            print(json.dumps(work), file=sys.stderr)
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc.strerror}")
+        else:
+            sys.stdout.write(text)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

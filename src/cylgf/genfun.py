@@ -66,10 +66,12 @@ class ChainGF(Record):
 
     A table folded at z = 1 (`chain_series(..., refined=False)`) is one row,
     table = (row,) with row[n] = [q^n] F_c(1, q); `marginal` reads both.
-    The last four fields count the work of the pass that filled the table
-    (slices, shapes, shape-lattice sums read, packed slot width: W(r, N)
-    folded, the bit length of the largest [q^k] F_c(1, q) refined); equality
-    and hashing leave them out.
+    The last four fields describe the work, and equality and hashing leave
+    them out.  `nodes`, `shapes` and `shape_pairs` (slices of weight <= N,
+    shapes, shape-lattice sums read) are counted from the lattice and are
+    the same for either layout; `slot_bits` is the packed slot width of the
+    layout that filled the table: W(r, N) folded, the bit length of the
+    largest [q^k] F_c(1, q) refined.
     """
 
     __slots__ = ("profile", "order", "distinct", "table",
@@ -193,27 +195,26 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     spans = [(low, high) for low, high, *_ in shapes if low <= high]
     lengths = range(min((low for low, _ in spans), default=1),
                     max((high for _, high in spans), default=0) + 1)
+    nodes = sum(high - low + 1 for low, high in spans)
     reads = len(lengths) * sum(len(odd) + len(even) + 1
                                for *_, odd, even in shapes)
 
     bits = isqrt(137 * r * order // 10) + 1
-    table, nodes = _chain_pass(shapes, lengths, order, r, distinct, False,
-                               bits)
+    table = _chain_pass(shapes, lengths, order, r, distinct, False, bits)
     if refined:
         bits = max(table[0]).bit_length()
-        table, nodes = _chain_pass(shapes, lengths, order, r, distinct, True,
-                                   bits)
+        table = _chain_pass(shapes, lengths, order, r, distinct, True, bits)
     return ChainGF(profile, order, distinct, table, nodes, len(floors), reads,
                    bits)
 
 
 def _chain_pass(shapes, lengths, n, r, distinct, refined, bits):
     """One run of `chain_series`'s loop over the shape lattice in the layout
-    that `refined` names, at slot width `bits`: the table and its nodes."""
+    that `refined` names, at slot width `bits`: the table."""
     side = n + 1
     z_slots = side if refined else 1
     mask = (1 << (side * z_slots * bits)) - 1
-    total, nodes = 1, 0
+    total = 1
     inside_below = [0] * len(shapes)  # T_{L-1}, 0 below the least L
     for length in lengths:
         down, inside = [], []  # H_L and T_L
@@ -234,7 +235,6 @@ def _chain_pass(shapes, lengths, n, r, distinct, refined, bits):
                         span *= 2
                 s += cur
                 total += cur
-                nodes += 1
             down.append(s)
             inside.append(s + inside_below[up])
         inside_below = inside
@@ -242,7 +242,7 @@ def _chain_pass(shapes, lengths, n, r, distinct, refined, bits):
     row_mask, slot_mask = (1 << z_slots * bits) - 1, (1 << bits) - 1
     rows = [total >> k * z_slots * bits & row_mask for k in range(side)]
     return tuple(tuple(row >> m * bits & slot_mask for row in rows)
-                 for m in range(z_slots)), nodes
+                 for m in range(z_slots))
 
 
 # --- identity catalog ------------------------------------------------------

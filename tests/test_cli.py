@@ -101,19 +101,6 @@ class TestExpand:
                 "--method", "borodin")
         assert a == b
 
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "series.txt"
-        code, out, _ = run(capsys, "expand", "--profile", "1,1", "--order", "2",
-                           "--method", "chain", "--out", str(path))
-        assert code == 0 and out == ""
-        assert path.read_text() == "[1, 2, 3]\n"
-
-    def test_out_file_unwritable(self, capsys, tmp_path):
-        code, out, err = run(capsys, "expand", "--profile", "1,1", "--order", "2",
-                             "--method", "chain", "--out",
-                             str(tmp_path / "absent" / "series.txt"))
-        assert code == 2 and out == "" and err.startswith("error:")
-
 
 class TestCount:
     def test_csv(self, capsys):
@@ -1014,3 +1001,61 @@ plain = [run(argv)[0] for argv in json.loads(sys.argv[2])]
 loaded = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
 print(json.dumps([plain, loaded, [run(a) for a in json.loads(sys.argv[3])]]))
 """
+
+
+#: each command's --verbose counters, besides "seconds"
+COUNTERS = {"expand": {"nodes", "shapes", "shape_pairs", "slot_bits"},
+            "count": {"partitions", "prefixes", "walked"},
+            "flow": {"nodes", "edges"},
+            "verify": {"identities", "lemma_specs"},
+            "decompose": {"levels", "size"}}
+
+
+def command_name(argv):
+    return argv[0]
+
+
+class TestOut:
+    """--out takes the text a plain run prints, on every command."""
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=command_name)
+    def test_file_holds_stdout(self, capsys, tmp_path, argv):
+        code, plain, _ = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_bytes() == plain.encode()
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=command_name)
+    def test_verbose_counters_on_stderr(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"),
+                             "--verbose")
+        assert code == 0 and out == "" and err.count("\n") == 1
+        assert set(json.loads(err)) == COUNTERS[argv[0]] | {"seconds"}
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=command_name)
+    def test_unwritable(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out",
+                             str(tmp_path / "absent" / "out.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ")
+
+
+class TestHandlers:
+    """A command returns (exit code, text, counters or None) and writes
+    nothing; `main` alone writes the text, with its newline, and the
+    counters."""
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    @pytest.mark.parametrize("argv", PLAIN, ids=command_name)
+    def test_returns_output_and_writes_nothing(self, capsys, tmp_path, argv,
+                                              verbose):
+        path = tmp_path / "out.txt"
+        args = _plain_args([*argv, "--out", str(path)]
+                           + ["--verbose"] * verbose)
+        code, text, counters = args.fn(args)
+        assert capsys.readouterr() == ("", "") and not path.exists()
+        assert run(capsys, *argv) == (code, text + "\n", "")
+        if verbose:
+            assert set(counters) == COUNTERS[argv[0]]
+        else:
+            assert counters is None
