@@ -32,7 +32,6 @@ computed as 2^h times their series, so every coefficient stays an int.
 """
 from __future__ import annotations
 
-import re
 from itertools import accumulate
 
 from .record import InputError, Record
@@ -247,6 +246,8 @@ def parse_tag(tag: str) -> list[NestedSumSpec]:
     L4.x map to family A, L5.2-L5.4 to family B, L5.5 to family C; L4.1 and
     L5.1 are the fixed-k variants (block length defaults to 1..3).
     """
+    import re
+
     m = re.fullmatch(r"L([45])\.([1-5])\((\d+(?:,\d+)*)\)", tag)
     if not m:
         raise LemmaSpecError(f"cannot parse lemma tag {tag!r}")

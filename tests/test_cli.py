@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cylgf
-from cylgf import cli, genfun, lemmas
+from cylgf import cli, genfun, lemmas, slices
 from cylgf.cli import _plain_args, build_parser, main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.record import InputError, Record
@@ -423,7 +423,7 @@ class TestExitCodes:
         def broken(cp):
             raise SliceError("invalid slice (0, 2) for profile (2,1)")
 
-        monkeypatch.setattr(cli, "decompose", broken)
+        monkeypatch.setattr(slices, "decompose", broken)
         code, out, err = run(capsys, "decompose", "--json", TestDecompose.PART)
         assert code == 3 and out == ""
         assert err.startswith("internal error: SliceError:")
@@ -439,7 +439,7 @@ class TestExitCodes:
         def broken(cp):
             raise error("message")
 
-        monkeypatch.setattr(cli, "decompose", broken)
+        monkeypatch.setattr(slices, "decompose", broken)
         code, out, err = run(capsys, "decompose", "--json", TestDecompose.PART)
         assert out == ""
         if bad_input:
@@ -742,7 +742,8 @@ class TestGolden:
     shapes have up to 3 and 5 removable corners, and on (1,1,0,0) at order
     100, (2,1) at order 150 and (1,0,0,0,0,0,0,0) at order 100, where the
     chain DP's folded slot width W(r, N) exceeds the bit length of
-    [q^N] (q;q)_oo^(-r) by 13-23 bits.
+    [q^N] (q;q)_oo^(-r) by 13-23 bits; last, an empty `--out`, spelled
+    `--out ""` and `--out=`.
     """
 
     def test_cases_distinct(self):
@@ -1038,6 +1039,79 @@ class TestOut:
                              str(tmp_path / "absent" / "out.txt"))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("out", [["--out", ""], ["--out="]],
+                             ids=["--out ''", "--out="])
+    @pytest.mark.parametrize("argv", PLAIN, ids=command_name)
+    def test_empty_path(self, capsys, argv, out):
+        # an empty path names no file: bad input, not a request for stdout
+        code, stdout, err = run(capsys, *argv, *out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cannot write ")
+
+
+# in a fresh `python -S` process: import cylgf.cli, run the argv of
+# argv[2:] if one is given, and print its exit code (None without one) and,
+# sorted, the modules among json, re and the package's that are new since
+# the first statement, on the last line of stdout
+LOADS = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import cylgf.cli
+code = cylgf.cli.main(sys.argv[2:]) if sys.argv[2:] else None
+new = set(sys.modules) - before
+print(code, *sorted(name for name in new if name in ("json", "re")
+                    or name.split(".")[0] == "cylgf"))
+"""
+#: what importing cylgf.cli loads: the package and the modules it imports
+CLI = {"cylgf", "cylgf.cli", "cylgf.cylindric", "cylgf.record",
+       "cylgf.series"}
+JSON = {"json", "re"}  # json imports re
+#: argv (none: the import alone) and the modules that LOADS reports for it
+START_UP = [
+    ([], CLI),
+    (PLAIN[0], CLI | {"cylgf.genfun", "cylgf.slices"}),
+    (["expand", "--profile", "2,1", "--order", "8", "--method", "borodin",
+      "--format", "json"], CLI | {"cylgf.genfun", "cylgf.slices"} | JSON),
+    (PLAIN[1], CLI),
+    (["count", "--profile", "1,1", "--order", "4", "--format", "json"],
+     CLI | JSON),
+    (PLAIN[2], CLI | {"cylgf.slices"}),
+    (["verify", "--id", "1.2", "--order", "5"],
+     CLI | {"cylgf.genfun", "cylgf.slices"}),
+    (["verify", "--id", "L4.2(2)", "--order", "10"],
+     CLI | {"cylgf.lemmas", "re"}),
+    # importlib.resources loads the data directory as a package
+    (["verify", "--all", "--order", "12"],
+     CLI | {"cylgf.data", "cylgf.genfun", "cylgf.lemmas", "cylgf.slices"}
+     | JSON),
+    (PLAIN[4], CLI | {"cylgf.slices"} | JSON),
+    ([*PLAIN[1], "--verbose"], CLI | JSON),
+]
+
+
+class TestStartUp:
+    """A plain run loads only the modules its command runs: json (and
+    with it re) only to read or write JSON, re only to parse a lemma tag."""
+
+    @pytest.mark.parametrize("argv, loaded", START_UP,
+                             ids=[" ".join(argv) or "import"
+                                  for argv, _ in START_UP])
+    def test_loads(self, argv, loaded):
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-c", LOADS, src, *argv],
+                              capture_output=True, text=True, timeout=60)
+        line = proc.stdout.splitlines()[-1].split()
+        assert line == ["0" if argv else "None", *sorted(loaded)], proc.stderr
+
+    def test_imported_modules_are_kept(self, capsys):
+        # a later command in the same process reads the module from cli's
+        # globals instead of going through the import system again
+        for argv in PLAIN:
+            run(capsys, *argv)
+        assert ((cli.json, cli.genfun, cli.lemmas, cli.slices)
+                == (json, genfun, lemmas, slices))
 
 
 class TestHandlers:
