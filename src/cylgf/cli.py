@@ -7,9 +7,10 @@ or extra lemma parameters, `--z-power` without `--id gasper`, `--format csv`
 without a catalog identity, malformed or invalid profiles and partitions,
 partition JSON that is not UTF-8, nested past the recursion limit or holds
 an integer past the digit limit, unreadable or unwritable files, an empty
-`--out`, `verify --all` with `--id`); 3 for internal contract violations
-and any other unexpected exception.  All file output ends with a trailing
-newline and is byte-identical across runs of the same command.
+`--out`, a closed stdout or one whose reader has gone, `verify --all` with
+`--id`); 3 for internal contract violations and any other unexpected
+exception.  All file output ends with a trailing newline and is
+byte-identical across runs of the same command.
 `--verbose`, taken by every command, also writes the command's work
 counters and time to stderr as one JSON object.  Each command below
 assembles its own output: the modules it calls return records and tuples,
@@ -19,23 +20,22 @@ the counters and writes the text to stdout or `--out`.  `verify` checks
 lemma tags in `lemmas`, other tags in `genfun`.
 
 At module level this imports only what `import cylgf` loads anyway:
-`record`, `cylindric` and `series`.  Each command imports the package module
-it runs and calls through it (`slices.decompose(cp)`): `expand` imports
-`genfun` (which imports `slices`), `flow` and `decompose` `slices`, `verify`
-`genfun` for a catalog tag and `lemmas` for a lemma tag or `--all`.  `json`,
-which imports `re`, is imported only where JSON is read or written:
-`--format json` of `expand` and `count`, `verify --all`, `decompose` and the
-`--verbose` line; `lemmas` imports `re` only to parse a tag.  So a text
-`count`, `flow` or `expand` loads neither `json` nor `re`, and `import
-cylgf.cli` takes 2.5 ms of CPU in a fresh `python -I` and 4.2 ms under
-`python -S`, against 7.1 and 21.7 ms with every import at module level
-(medians of 40 fresh interpreters, CPython 3.11.7, 2-vCPU Xeon VM).  A
-command keeps each module it imports in a global of this module, and
-imports it only while that global is None: in a process that runs many
-commands, an import statement that finds its module loaded still costs
-about 30 us once the caches are cold, as they are between the benchmark's
-jobs, against about 1 us to read the global, and a `flow` or chain
-`expand` job takes 0.2-0.5 ms.
+`record`, `cylindric` and `series`.  `json` and the modules that only some
+commands run come from `_lazy`, which imports each on first read and keeps
+it.  A command reads the module it runs once and calls through it (`slices
+= _lazy.slices`, then `slices.decompose(cp)`): `expand` `genfun` (which
+imports `slices`), `flow` and `decompose` `slices`, `verify` `genfun` for a
+catalog tag and `lemmas` for a lemma tag or `--all`.  `json`, which imports
+`re`, is read only where JSON is read or written: `--format json` of
+`expand` and `count`, `verify --all`, `decompose` and the `--verbose` line;
+`lemmas` imports `re` only to parse a tag.  So a text `count`, `flow` or
+`expand` loads neither, and `import cylgf.cli` takes 2.5 ms of CPU in a
+fresh `python -I` and 4.2 ms under `python -S`, against 7.1 and 21.7 ms
+with every import at module level (medians of 40 fresh interpreters,
+CPython 3.11.7, 2-vCPU Xeon VM).  A process that runs many commands imports
+each module once: with the caches cold, as between the benchmark's jobs of
+0.2-0.5 ms, an import statement that finds its module loaded costs about
+30 us, against 1 us to read an attribute of `_lazy`.
 
 The option grammar is one table, `_COMMANDS`.  A plain argv (a command name,
 then exact option strings of that command, each value option followed by a
@@ -55,9 +55,21 @@ from .cylindric import Profile, enumerate_table, validate
 from .record import InputError
 from .series import first_mismatch
 
-#: json and the package modules that only some commands run, each imported
-#: by the first command that needs it and kept here (module docstring)
-json = genfun = lemmas = slices = None
+
+class _Lazy:
+    """`json`, `genfun`, `lemmas` and `slices`, each imported on first read
+    and kept as an attribute; any other name raises AttributeError."""
+
+    def __getattr__(self, name: str):
+        if name not in ("json", "genfun", "lemmas", "slices"):
+            raise AttributeError(name)
+        path = name if name == "json" else f"{__package__}.{name}"
+        __import__(path)
+        setattr(self, name, sys.modules[path])
+        return sys.modules[path]
+
+
+_lazy = _Lazy()
 
 
 def _parse_profile(text: str) -> Profile:
@@ -84,9 +96,7 @@ def _int_at_least(low: int):
 
 
 def cmd_expand(args):
-    global genfun, json
-    if genfun is None:
-        from . import genfun
+    genfun = _lazy.genfun
     profile = _parse_profile(args.profile)
     work = None
     if args.method == "borodin":
@@ -102,18 +112,15 @@ def cmd_expand(args):
             work = {"nodes": gf.nodes, "shapes": gf.shapes,
                     "shape_pairs": gf.shape_pairs, "slot_bits": gf.slot_bits}
     if args.format == "json":
-        if json is None:
-            import json
         # decimal strings keep big coefficients exact in any JSON reader
-        text = json.dumps({"order": series.order,
-                           "coeffs": [str(c) for c in series.coeffs]})
+        text = _lazy.json.dumps({"order": series.order,
+                                 "coeffs": [str(c) for c in series.coeffs]})
     else:
         text = "[" + ", ".join(map(str, series.coeffs)) + "]"
     return 0, text, work
 
 
 def cmd_count(args):
-    global json
     profile = _parse_profile(args.profile)
     table = enumerate_table(profile, args.order)
     work = None
@@ -122,11 +129,9 @@ def cmd_count(args):
                 "prefixes": table.prefixes,
                 "walked": ",".join(map(str, table.walked.parts))}
     if args.format == "json":
-        if json is None:
-            import json
-        text = json.dumps({"profile": list(profile.parts),
-                           "order": table.order,
-                           "counts": [list(row) for row in table.counts]})
+        text = _lazy.json.dumps({
+            "profile": list(profile.parts), "order": table.order,
+            "counts": [list(row) for row in table.counts]})
     else:
         lines = ["max,size,count"]
         for m, row in enumerate(table.counts):
@@ -136,9 +141,7 @@ def cmd_count(args):
 
 
 def cmd_flow(args):
-    global slices
-    if slices is None:
-        from . import slices
+    slices = _lazy.slices
     profile = _parse_profile(args.profile)
     nodes, edges = slices.flow_graph(profile, args.max_weight)
     gray = slices.baseline(profile)
@@ -161,19 +164,15 @@ def _verify_one(tag: str, order: int, z_power, lines: list[str],
                 work: dict) -> bool:
     """Check one --id tag, up to a lemma tag's first failing spec, and
     append its line."""
-    global genfun, lemmas
     if tag.startswith("L"):
-        if lemmas is None:
-            from . import lemmas
+        lemmas = _lazy.lemmas
         specs = lemmas.parse_tag(tag)
         work["lemma_specs"] += len(specs)
         checks = lemmas.verify_lemmas(specs, order)
         bad = next((b for b in checks if b is not None), None)
     else:
-        if genfun is None:
-            from . import genfun
         work["identities"] += 1
-        bad = first_mismatch(*genfun.catalog_sides(tag, order, z_power))
+        bad = first_mismatch(*_lazy.genfun.catalog_sides(tag, order, z_power))
     name = tag if z_power is None else f"{tag}(z=q^{z_power})"
     status = "PASS" if bad is None else "FAIL@q^{} lhs={} rhs={}".format(*bad)
     lines.append(f"{name},order={order},{status}")
@@ -192,7 +191,6 @@ def _lemma_line(spec, order: int, bad, lines: list[str]) -> bool:
 
 
 def cmd_verify(args):
-    global genfun, json, lemmas
     if args.z_power is not None and (args.all or args.id != "gasper"):
         raise InputError("--z-power applies only to --id gasper")
     if args.format == "csv" and (args.all or (args.id or "").startswith("L")):
@@ -203,13 +201,12 @@ def cmd_verify(args):
     ok = True
     work = {"identities": 0, "lemma_specs": 0}
     if args.all:
-        from importlib.resources import files
+        import os  # not loaded at start-up under `python -S`
 
-        if json is None:
-            import json
-        if lemmas is None:
-            from . import lemmas
-        grid = json.loads(files("cylgf.data").joinpath("verify_all.json").read_text())
+        lemmas = _lazy.lemmas
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "verify_all.json"), encoding="utf-8") as fh:
+            grid = _lazy.json.load(fh)
         for entry in grid["identities"]:
             order = args.order if args.order is not None else entry["order"]
             ok &= _verify_one(entry["id"], order, entry.get("z_power"), lines,
@@ -223,9 +220,7 @@ def cmd_verify(args):
     elif args.id:
         order = args.order if args.order is not None else 40
         if args.format == "csv":
-            if genfun is None:
-                from . import genfun
-            lhs, rhs = genfun.catalog_sides(args.id, order, args.z_power)
+            lhs, rhs = _lazy.genfun.catalog_sides(args.id, order, args.z_power)
             work["identities"] += 1
             lines.append("degree,lhs,rhs,equal")
             for n in range(order + 1):
@@ -254,11 +249,7 @@ def _parse_partition(data) -> tuple[Profile, list]:
 
 
 def cmd_decompose(args):
-    global json, slices
-    if json is None:
-        import json
-    if slices is None:
-        from . import slices
+    slices = _lazy.slices
     if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -272,7 +263,7 @@ def cmd_decompose(args):
     else:
         raise InputError("decompose needs --json or --file")
     try:
-        data = json.loads(text)
+        data = _lazy.json.loads(text)
     except RecursionError:
         raise InputError("partition JSON is nested too deeply")
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -430,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global json
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_args(argv)
@@ -449,20 +439,24 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         code, text, work = args.fn(args)
         if work is not None:
-            if json is None:
-                import json
             work["seconds"] = round(time.perf_counter() - start, 6)
-            print(json.dumps(work), file=sys.stderr)
+            print(_lazy.json.dumps(work), file=sys.stderr)
         if not text.endswith("\n"):
             text += "\n"
-        if args.out is not None:
-            try:
+        try:
+            if args.out is not None:
                 with open(args.out, "w") as fh:
                     fh.write(text)
-            except OSError as exc:
-                raise InputError(f"cannot write {args.out}: {exc.strerror}")
-        else:
-            sys.stdout.write(text)
+            elif sys.stdout is None:  # descriptor 1 was closed at start-up
+                raise InputError("cannot write stdout: Bad file descriptor")
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as exc:
+            # a failed flush drops the buffered text, so the interpreter's
+            # flush at exit finds nothing to write and reports nothing
+            where = "stdout" if args.out is None else args.out
+            raise InputError(f"cannot write {where}: {exc.strerror}")
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1050,6 +1050,43 @@ class TestOut:
         assert err.startswith("error: cannot write ")
 
 
+class TestClosedStdout:
+    """A stdout that takes no output is bad input, as an unwritable --out
+    is: exit 2 and one error line, with no traceback and no complaint from
+    the interpreter's flush at exit."""
+
+    # 0.2 KB and 140 KB of output, under and past a pipe's buffer
+    ORDERS = pytest.mark.parametrize("order", ["30", "3000"])
+
+    def run(self, order, **kwargs):
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from cylgf.cli import main; sys.exit(main(sys.argv[2:]))",
+             src, "expand", "--profile", "2,1", "--order", order,
+             "--method", "borodin"],
+            stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+    @ORDERS
+    def test_reader_gone(self, order):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run(order, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout: Broken pipe\n")
+
+    @ORDERS
+    def test_descriptor_closed(self, order):
+        proc = self.run(order, stdout=subprocess.DEVNULL,
+                        preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout: Bad file descriptor\n")
+
+
 # in a fresh `python -S` process: import cylgf.cli, run the argv of
 # argv[2:] if one is given, and print its exit code (None without one) and,
 # sorted, the modules among json, re and the package's that are new since
@@ -1082,10 +1119,8 @@ START_UP = [
      CLI | {"cylgf.genfun", "cylgf.slices"}),
     (["verify", "--id", "L4.2(2)", "--order", "10"],
      CLI | {"cylgf.lemmas", "re"}),
-    # importlib.resources loads the data directory as a package
     (["verify", "--all", "--order", "12"],
-     CLI | {"cylgf.data", "cylgf.genfun", "cylgf.lemmas", "cylgf.slices"}
-     | JSON),
+     CLI | {"cylgf.genfun", "cylgf.lemmas", "cylgf.slices"} | JSON),
     (PLAIN[4], CLI | {"cylgf.slices"} | JSON),
     ([*PLAIN[1], "--verbose"], CLI | JSON),
 ]
@@ -1106,12 +1141,31 @@ class TestStartUp:
         assert line == ["0" if argv else "None", *sorted(loaded)], proc.stderr
 
     def test_imported_modules_are_kept(self, capsys):
-        # a later command in the same process reads the module from cli's
-        # globals instead of going through the import system again
+        # a later command in the same process finds each module among the
+        # namespace's own attributes instead of going through the import
+        # system again
         for argv in PLAIN:
             run(capsys, *argv)
-        assert ((cli.json, cli.genfun, cli.lemmas, cli.slices)
-                == (json, genfun, lemmas, slices))
+        assert vars(cli._lazy) == {"json": json, "genfun": genfun,
+                                   "lemmas": lemmas, "slices": slices}
+
+    def test_other_names_raise_and_import_nothing(self):
+        # in a fresh process, so that no other test has loaded them: any
+        # name but the four, dunders included, raises AttributeError, which
+        # hasattr, copy and inspect expect of a plain object
+        src = str(Path(cylgf.__file__).resolve().parent.parent)
+        names = ["data", "record", "re", "argparse", "__wrapped__",
+                 "__deepcopy__", "__setstate__"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import cylgf.cli; "
+             "lazy = cylgf.cli._Lazy(); before = set(sys.modules); "
+             "found = [hasattr(lazy, name) for name in sys.argv[2:]]; "
+             "print(found, sorted(set(sys.modules) - before), vars(lazy))",
+             src, *names],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.stdout.splitlines()[-1]
+                == f"{[False] * len(names)} [] {{}}"), proc.stderr
 
 
 class TestHandlers:
