@@ -2,22 +2,17 @@
 
 Exit codes: 0 success, 1 for a verification mismatch, 2 for bad input: an
 argv that argparse rejects (parse errors and unknown options), an option
-given the value `--`, and every `record.InputError` (unknown identity tags
-or extra lemma parameters, `--z-power` without `--id gasper`, `--format csv`
-without a catalog identity, malformed or invalid profiles and partitions,
-partition JSON that is not UTF-8, nested past the recursion limit or holds
-an integer past the digit limit, unreadable or unwritable files, an empty
-`--out`, a closed stdout or one whose reader has gone, `verify --all` with
-`--id`); 3 for internal contract violations and any other unexpected
-exception.  All file output ends with a trailing newline and is
-byte-identical across runs of the same command.
-`--verbose`, taken by every command, also writes the command's work
-counters and time to stderr as one JSON object.  Each command below
-assembles its own output: the modules it calls return records and tuples,
-never text.  A command returns (exit code, output text, counters or None),
-its counters built only under `--verbose`; `main` alone times it, writes
-the counters and writes the text to stdout or `--out`.  `verify` checks
-lemma tags in `lemmas`, other tags in `genfun`.
+given the value `--`, and every `record.InputError` (bad profiles,
+partitions, tags and option combinations, unreadable or unwritable files,
+an empty `--out`, a closed stdout or one whose reader has gone; the README
+lists them all); 3 for internal contract violations and any other unexpected
+exception.  `main` returns the code for every argv and lets no SystemExit
+out, and after a failed write to stdout leaves `sys.stdout` open on
+os.devnull.  Each command below assembles its own output: the modules it
+calls return records and tuples, never text.  A command returns (exit code,
+output text, counters or None), its counters built only under `--verbose`;
+`main` alone times it and writes the counters to stderr as one JSON object
+and the text, newline-ended and help included, to stdout or `--out`.
 
 At module level this imports only what `import cylgf` loads anyway:
 `record`, `cylindric` and `series`.  `json` and the modules that only some
@@ -420,20 +415,36 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_args(argv: list[str]):
+    """The full parser's namespace of an argv that is not plain; for help,
+    a command that returns the help text.  A rejected argv raises
+    argparse's SystemExit(2), its usage and error already on stderr."""
+    import contextlib
+    import io
+
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            raise
+        return SimpleNamespace(fn=lambda _: (0, text.getvalue(), None),
+                               out=None)
+    # argparse turns an explicit `--opt=--` into [] and skips the option's
+    # type and choices; no option here takes a list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise InputError(f"argument --{name.replace('_', '-')}: "
+                             "expected a value, got '--'")
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
-        # argparse turns an explicit `--opt=--` into [] and skips the
-        # option's type and choices; no option here takes a list
-        for name, value in vars(args).items():
-            if isinstance(value, list):
-                print(f"error: argument --{name.replace('_', '-')}: "
-                      "expected a value, got '--'", file=sys.stderr)
-                return 2
     try:
+        args = _plain_args(argv) or _parse_args(argv)
         # `seconds` spans the command: reading and checking its input, the
         # work and the formatting, not the write
         start = time.perf_counter()
@@ -453,11 +464,15 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
                 sys.stdout.flush()
         except OSError as exc:
-            # a failed flush drops the buffered text, so the interpreter's
-            # flush at exit finds nothing to write and reports nothing
+            if args.out is None:  # else the flush at exit fails on it again
+                import os  # not loaded at start-up under `python -S`
+
+                sys.stdout = open(os.devnull, "w")
             where = "stdout" if args.out is None else args.out
             raise InputError(f"cannot write {where}: {exc.strerror}")
         return code
+    except SystemExit:  # argparse rejected the argv and said why on stderr
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

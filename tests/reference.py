@@ -4,10 +4,10 @@
 `shape_difference` is the difference condition between two shape letters,
 `chain_visits` counts the (shape, last-row length) pairs the chain DP
 visits,
-`DUALITY_PAIRS` lists the profiles that share one generating function under
-rank-level duality, `zero_one_valid` tests white counts against the
-definition, and `comb_shape_name` names a shape with one `comb` per
-entry, the reference for `slices.shape_name`; `recursive_walk` is the
+`dual` is the rank-level duality map and `profiles_up_to` lists every
+profile up to a rank and a level, `zero_one_valid` tests white counts
+against the definition, and `comb_shape_name` names a shape with one
+`comb` per entry, the reference for `slices.shape_name`; `recursive_walk` is the
 enumeration oracle's walk as plain recursion, one call per partition,
 without its pruning of the rows between the first and the last;
 `walk_table` counts by (largest part, size) from it, the reference for
@@ -17,7 +17,7 @@ that skip no part value, the reference for `chain-distinct`;
 the reference for `lemmas.nested_sums`.  No command of the package needs
 any of them.
 """
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 
 from cylgf.cylindric import (CylindricPartition, PartitionError, Profile,
@@ -26,14 +26,32 @@ from cylgf.lemmas import NestedSumSpec, _term
 from cylgf.series import Series
 from cylgf.slices import Slice, SliceError, baseline, contains, shape_floors
 
-#: profiles sharing one generating function under rank-level duality
-DUALITY_PAIRS = (
-    ((2, 1), (1, 1, 0)),
-    ((3, 0), (2, 0, 0)),
-    ((4, 0), (2, 0, 0, 0)),
-    ((2, 2), (1, 0, 1, 0)),
-    ((3, 1), (1, 1, 0, 0)),
-)
+
+def dual(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """D(c), the profile whose generating function F(z, q) is that of c.
+
+    Write c as the cyclic word 1^c_1 0 1^c_2 0 ... 1^c_r 0 and swap every 0
+    and 1.  Part k is the number of ones before the k-th zero, the ones
+    after the last zero joining part 1; then the tuple is reversed.  D(c)
+    has rank the level of c and level the rank of c, and D(D(c)) is a
+    rotation of c.  c needs level >= 1.
+    """
+    out, ones = [], 0
+    for bit in [bit for part in parts for bit in [0] * part + [1]]:
+        if bit:
+            ones += 1
+        else:
+            out.append(ones)
+            ones = 0
+    out[0] += ones
+    return tuple(reversed(out))
+
+
+def profiles_up_to(max_rank: int, max_level: int) -> list[tuple[int, ...]]:
+    """Every profile of rank 1..max_rank and level 1..max_level."""
+    return [parts for rank in range(1, max_rank + 1)
+            for parts in product(range(max_level + 1), repeat=rank)
+            if 1 <= sum(parts) <= max_level]
 
 
 def recompose(profile: Profile, levels: list[Slice]) -> CylindricPartition:

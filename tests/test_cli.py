@@ -345,10 +345,9 @@ class TestExitCodes:
         ["expand", "--profile", "2,1", "--order", "x", "--method", "chain"],
     ])
     def test_out_of_range_number(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
+        code = main(argv)
         out = capsys.readouterr()
-        assert exc.value.code == 2 and out.out == "" and "error:" in out.err
+        assert code == 2 and out.out == "" and "error:" in out.err
 
     @pytest.mark.parametrize("argv", [
         # options a command does not take
@@ -372,10 +371,7 @@ class TestExitCodes:
         ["verify", "--all", "--id", "1.2", "--order", "2"],
     ])
     def test_rejected_input(self, capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the option
-            code = exc.code
+        code = main(argv)
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert "error:" in out.err and "Traceback" not in out.err
@@ -469,10 +465,7 @@ class TestMalformedInput:
     def exit_code(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the option
-                code = exc.code
+            code = main(argv)
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
         assert "error:" in err.getvalue()
         self.err = err.getvalue()
@@ -753,10 +746,7 @@ class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
     def test_output(self, capsys, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")
-        try:
-            code = main(list(case["argv"]))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(case["argv"]))
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (case["code"], case["out"],
                                             case["err"])
@@ -779,7 +769,8 @@ TOKEN = st.one_of(
 
 def capture(fn, argv):
     """fn(argv), or the code of the SystemExit it raised, and all that it
-    printed."""
+    printed: for the parser-level calls, as argparse exits on help and on a
+    rejected argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -904,14 +895,19 @@ def mutate(argv, data):
 
 
 class TestFuzz:
-    """Any argv exits 0, 1 or 2: never a traceback or an internal error."""
+    """`main` returns 0, 1 or 2 for any argv, and raises nothing: never a
+    traceback or an internal error."""
 
     @settings(max_examples=150, deadline=None)
     @given(argv=FUZZ_ARGV, data=st.data())
     def test_exit_code_contract(self, argv, data):
         argv = mutate(argv, data)
-        code, _, err = capture(main, argv)
-        assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert type(code) is int and code in (0, 1, 2), (argv, err)
+        assert "internal error" not in err, (argv, err)
 
 
 GOLDEN_BY_ARGV = {tuple(case["argv"]): case for case in GOLDEN}
@@ -992,10 +988,7 @@ from cylgf.cli import main
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return [code, out.getvalue(), err.getvalue()]
 
 plain = [run(argv)[0] for argv in json.loads(sys.argv[2])]
@@ -1053,38 +1046,63 @@ class TestOut:
 class TestClosedStdout:
     """A stdout that takes no output is bad input, as an unwritable --out
     is: exit 2 and one error line, with no traceback and no complaint from
-    the interpreter's flush at exit."""
+    the interpreter's flush at exit.  Help goes out through the same writer.
+    Each case runs with stdout buffered and unbuffered, whatever the
+    environment of the test run."""
 
-    # 0.2 KB and 140 KB of output, under and past a pipe's buffer
-    ORDERS = pytest.mark.parametrize("order", ["30", "3000"])
+    #: 0.2 KB and 140 KB of output, under and past a pipe's buffer, and help
+    ARGVS = {order: ["expand", "--profile", "2,1", "--order", order,
+                     "--method", "borodin"] for order in ("30", "3000")}
+    ARGVS.update((" ".join(argv), argv)
+                 for argv in [["--help"], *([c, "--help"] for c in COMMANDS)])
+    CASES = pytest.mark.parametrize("case", list(ARGVS))
 
-    def run(self, order, **kwargs):
+    def run(self, case, **kwargs):
+        """The (exit code, stderr) of the case, buffered and unbuffered."""
         src = str(Path(cylgf.__file__).resolve().parent.parent)
-        return subprocess.run(
-            [sys.executable, "-c",
-             "import sys; sys.path.insert(0, sys.argv[1]); "
-             "from cylgf.cli import main; sys.exit(main(sys.argv[2:]))",
-             src, "expand", "--profile", "2,1", "--order", order,
-             "--method", "borodin"],
-            stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        runs = []
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from cylgf.cli import main; sys.exit(main(sys.argv[2:]))",
+                 src, *self.ARGVS[case]],
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**env, **unbuffered}, **kwargs)
+            runs.append((proc.returncode, proc.stderr))
+        return runs
 
-    @ORDERS
-    def test_reader_gone(self, order):
+    @CASES
+    def test_reader_gone(self, case):
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = self.run(order, stdout=write)
+            runs = self.run(case, stdout=write)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == (
-            2, "error: cannot write stdout: Broken pipe\n")
+        assert runs == [(2, "error: cannot write stdout: Broken pipe\n")] * 2
 
-    @ORDERS
-    def test_descriptor_closed(self, order):
-        proc = self.run(order, stdout=subprocess.DEVNULL,
+    @CASES
+    def test_descriptor_closed(self, case):
+        runs = self.run(case, stdout=subprocess.DEVNULL,
                         preexec_fn=lambda: os.close(1))
-        assert (proc.returncode, proc.stderr) == (
-            2, "error: cannot write stdout: Bad file descriptor\n")
+        assert runs == [
+            (2, "error: cannot write stdout: Bad file descriptor\n")] * 2
+
+    def test_in_process_caller_finds_devnull(self, capsys, monkeypatch):
+        # the text that failed is not written again: stdout is left open on
+        # os.devnull for whatever the caller prints next
+        class Gone(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        assert main(PLAIN[1]) == 2
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: Broken pipe\n")
 
 
 # in a fresh `python -S` process: import cylgf.cli, run the argv of

@@ -18,7 +18,7 @@ from cylgf.lemmas import LemmaSpecError, NestedSumSpec, parse_tag
 from cylgf.series import (PochSpec, Series, first_mismatch, pochhammer,
                           product_expr)
 from cylgf.slices import Slice, contains, iter_slices
-from reference import DUALITY_PAIRS, chain_visits, gapless_table
+from reference import chain_visits, dual, gapless_table, profiles_up_to
 
 # the profile orbits and top orders of the chain-dp benchmark workload
 CHAIN_ORBITS = [((1, 1), 50), ((2, 1), 40), ((1, 0, 1), 34), ((1, 1, 1), 28),
@@ -350,10 +350,32 @@ class TestChainSeries(ChainMarginals):
                 profile
 
     def test_duality_pairs_have_equal_refined_tables(self):
-        # the dual profiles share F_c(z, q), not only F_c(1, q)
-        for a, b in DUALITY_PAIRS:
-            assert (chain_series(Profile(a), 40).table
-                    == chain_series(Profile(b), 40).table), (a, b)
+        # c and D(c) share F_c(z, q), not only F_c(1, q), on all 456
+        # profiles of rank and level <= 5; one table per rotation class,
+        # as rotation keeps the table (test_rotation_preserves_refined_tables)
+        profiles = profiles_up_to(5, 5)
+        tables = {}
+
+        def table(parts):
+            key = min(parts[k:] + parts[:k] for k in range(len(parts)))
+            if key not in tables:
+                tables[key] = chain_series(Profile(key), 16).table
+            return tables[key]
+
+        for parts in profiles:
+            assert table(parts) == table(dual(parts)), parts
+        assert (len(profiles), len(tables)) == (456, 119)
+
+    def test_dual_of_dual_is_a_rotation(self):
+        # D swaps rank and level; done twice it turns the profile
+        profiles = profiles_up_to(6, 6)
+        for parts in profiles:
+            back = dual(dual(parts))
+            assert (len(dual(parts)), sum(dual(parts))) == (sum(parts),
+                                                            len(parts))
+            assert back in {parts[k:] + parts[:k]
+                            for k in range(len(parts))}, parts
+        assert len(profiles) == 1709
 
     def test_rotation_preserves_refined_tables(self):
         # F_c(z, q) is invariant under rotating the profile, for all 44
@@ -439,8 +461,9 @@ class TestCatalog:
             assert got == lhs, parts
 
     def test_duality_pairs(self):
-        for a, b in DUALITY_PAIRS:
-            assert borodin(Profile(a), 20) == borodin(Profile(b), 20)
+        for parts in profiles_up_to(5, 5):
+            assert (borodin(Profile(parts), 20)
+                    == borodin(Profile(dual(parts)), 20)), parts
 
     def test_unknown_tag(self):
         with pytest.raises(UnknownIdentityError):

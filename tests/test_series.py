@@ -424,6 +424,30 @@ class TestPacked:
         monkeypatch.setattr(series, "_CUT", 2)
         assert caught(CUT) == len(PACKED_CASES)
 
+    def test_slot_margin_at_its_boundary(self, monkeypatch):
+        # 1/(1-q)^15 at cut 2: a block of three p_n < 2^42 times b_k = 15 <
+        # 2^4 has a slot of 49 bits, p + b + bit_length(terms) + 1, where
+        # p + b + bit_length(terms) = 48 is whole bytes.  So _slot_bytes
+        # with a margin of 0 in place of 1 leaves the slot a byte short.
+        monkeypatch.setattr(series, "_CUT", 2)
+        den = [PochSpec(1, 1, 1, 1)] * 15
+        packed, pack = [], series._pack
+        monkeypatch.setattr(series, "_pack", lambda values, nbytes: (
+            packed.append(values), pack(values, nbytes))[1])
+        assert product_expr([], den, 44) == Series.monomial(0, 44).times(
+            [], den)
+        needs = set()
+        for block, factor in zip(packed[::2], packed[1::2]):
+            slots = [sum(p * factor[k - i] for i, p in enumerate(block)
+                         if 0 <= k - i < len(factor))
+                     for k in range(len(block) + len(factor) - 1)]
+            bits = (max(map(abs, block)).bit_length()
+                    + max(map(abs, factor)).bit_length()
+                    + len(block).bit_length())
+            if max(map(abs, slots)).bit_length() == bits:
+                needs.add(bits)
+        assert 48 in needs
+
     def test_missing_bias_is_caught(self, monkeypatch):
         # two's complement slots are right for nonnegative values only:
         # a negative slot borrows from the one above it
