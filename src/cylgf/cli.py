@@ -464,7 +464,7 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
                 sys.stdout.flush()
         except OSError as exc:
-            if args.out is None:  # else the flush at exit fails on it again
+            if args.out is None:  # else the flush at exit retries the text
                 import os  # not loaded at start-up under `python -S`
 
                 sys.stdout = open(os.devnull, "w")
