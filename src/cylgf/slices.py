@@ -18,8 +18,8 @@ t_{i+1} = t_i + c_{i+1} for every row with t_i >= 1, so the row after such a
 row has t_{i+1} >= 1 too; some row has, so every row has, and summing
 t_{i+1} - t_i = c_{i+1} once round the cylinder gives level 0, which no
 profile has.  So the valid slices of weight w + 1 are the growths of those
-of weight w, from the empty slice up (`iter_slices`), and the same rule
-gives the edges of `flow_graph`.
+of weight w, from the empty slice up, and those growths are the edges into
+them: one pass (`_layers`) gives `iter_slices` and `flow_graph` both.
 """
 from __future__ import annotations
 
@@ -122,6 +122,17 @@ def _growths(c: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
             for i in range(len(t)) if t[i] < t[i - 1] + c[i]]
 
 
+def _layers(profile: Profile, max_weight: int):
+    """For w = 1..max_weight: the growth lists of the slices of weight
+    w - 1, in layer order, and the sorted layer of weight w they make up."""
+    c = profile.parts
+    layer = [(0,) * profile.rank]
+    for _ in range(max_weight):
+        grown = [_growths(c, t) for t in layer]
+        layer = sorted({u for us in grown for u in us})
+        yield grown, layer
+
+
 def iter_slices(profile: Profile, max_weight: int):
     """White tuples of the non-empty valid slices with weight <= max_weight,
     lazily, in (weight, white tuple) order.
@@ -131,10 +142,7 @@ def iter_slices(profile: Profile, max_weight: int):
     sorted.  Only valid slices are built, so a caller that stops early pays
     for the weight layers up to the one it stopped in, and no more.
     """
-    c = profile.parts
-    layer = [(0,) * profile.rank]
-    for _ in range(max_weight):
-        layer = sorted({u for t in layer for u in _growths(c, t)})
+    for _, layer in _layers(profile, max_weight):
         yield from layer
 
 
@@ -210,11 +218,13 @@ def flow_graph(profile: Profile, max_weight: int):
     (weight, white tuple), and the tuple of (u, v) edges, v having one white
     square more.
 
-    A node below max_weight has an edge to each of its one-square growths,
-    by row (module docstring).  A max_weight below 1 gives the empty graph.
+    The growths that build each layer (`_layers`) are the edges into it, by
+    row, so each slice is grown once; the empty slice's growths give no
+    edges.  A max_weight below 1 gives the empty graph.
     """
-    c = profile.parts
-    nodes = tuple(iter_slices(profile, max_weight))
-    edges = tuple((t, u) for t in nodes if sum(t) < max_weight
-                  for u in _growths(c, t))
-    return nodes, edges
+    nodes, edges, below = [], [], ()
+    for grown, layer in _layers(profile, max_weight):
+        edges += [(t, u) for t, us in zip(below, grown) for u in us]
+        nodes += layer
+        below = layer
+    return tuple(nodes), tuple(edges)

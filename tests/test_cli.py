@@ -728,7 +728,8 @@ class TestGolden:
     each subcommand and the lemma-tag errors and lines of `verify`, runs
     that only argparse parses (`--order=3`, `--prof`, `--z-power=2`), the
     `verify` csv table, boards with empty trailing rows, `verify --all`
-    with `--id`, two `flow` graphs of rank-6 profiles, `verify --all` at
+    with `--id`, two `flow` graphs of rank-6 profiles and two at max
+    weight 8 on census profiles of ranks 4 and 5, `verify --all` at
     its default orders and at order 64, a three-block lemma tag whose
     least degree, 48, lies below its order, and both chain methods in both
     formats on (4,3,2,1) at order 40 and (1,1,1,1,1,1) at order 30, whose

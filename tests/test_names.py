@@ -7,9 +7,11 @@ import cylgf
 #: Names defined in src/cylgf that no other code there names, each kept for
 #: a reason outside the package.  Removing dead code shrinks this list.
 KEEP = {
-    # wrapped by name in bench/tracer.py, like Series.__mul__
+    # wrapped by name in bench/tracer.py, like Series.__mul__; the tests
+    # also enumerate slices through iter_slices
     "Series.invert",
     "slices.contains",
+    "slices.iter_slices",
     "slices.min_slices",
     # bench/checks.py lists partitions with it
     "cylindric.iter_partitions",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylgf import slices
 from cylgf.cylindric import Profile, iter_partitions, validate
 from cylgf.cli import main
 from cylgf.slices import (Slice, SliceError, baseline, contains,
@@ -320,6 +321,17 @@ class TestFlowGraph:
             assert sum(v) == sum(u) + 1
             assert sum(abs(a - b) for a, b in zip(u, v)) == 1
 
+    @staticmethod
+    def one_square_pairs(nodes):
+        """The (u, v) node pairs with v one square heavier and u <= v row by
+        row, by a brute force over all pairs of adjacent weights."""
+        by_weight = {}
+        for t in nodes:
+            by_weight.setdefault(sum(t), []).append(t)
+        return {(u, v) for w, low in by_weight.items()
+                for u in low for v in by_weight.get(w + 1, ())
+                if all(a <= b for a, b in zip(u, v))}
+
     def test_edges_are_all_one_square_pairs(self):
         # flow_graph tests one inequality per row; a brute force over all
         # node pairs, for every profile of rank 1-5 and level <= 3 (zero
@@ -329,14 +341,36 @@ class TestFlowGraph:
                 if not 1 <= sum(parts) <= 3:
                     continue
                 nodes, edges = flow_graph(Profile(parts), 6)
-                by_weight = {}
-                for t in nodes:
-                    by_weight.setdefault(sum(t), []).append(t)
-                pairs = {(u, v) for w, low in by_weight.items()
-                         for u in low for v in by_weight.get(w + 1, ())
-                         if all(a <= b for a, b in zip(u, v))}
+                pairs = self.one_square_pairs(nodes)
                 assert len(edges) == len(pairs), parts
                 assert set(edges) == pairs, parts
+
+    def test_census_profiles_at_max_weight_8(self):
+        # the slice-census benchmark's domain, rank 4-7 and rank + level
+        # <= 8 at its largest max weight: flow_graph builds its nodes in
+        # its own pass, so they are checked against iter_slices too
+        profiles = [p for p in all_profiles(8) if p.rank >= 4]
+        assert len(profiles) == 158
+        for profile in profiles:
+            nodes, edges = flow_graph(profile, 8)
+            assert nodes == tuple(iter_slices(profile, 8)), profile
+            pairs = self.one_square_pairs(nodes)
+            assert len(edges) == len(pairs), profile
+            assert set(edges) == pairs, profile
+
+    @pytest.mark.parametrize("parts, max_weight", [
+        ((1, 1), 1), ((2, 1), 6), ((1, 0, 1), 7), ((1, 1, 1, 1), 8),
+        ((2, 0, 0, 0, 1), 8), ((1, 0, 0, 0, 0, 0, 0), 5)])
+    def test_each_slice_is_grown_once(self, monkeypatch, parts, max_weight):
+        # the edges come from the growths that build the next weight: the
+        # empty slice and each node below max_weight are grown once each
+        grown, growths = [], slices._growths
+        monkeypatch.setattr(slices, "_growths",
+                            lambda c, t: grown.append(t) or growths(c, t))
+        nodes, _ = flow_graph(Profile(parts), max_weight)
+        below = [t for t in nodes if sum(t) < max_weight]
+        assert len(grown) == 1 + len(below)
+        assert sorted(grown) == sorted([(0,) * len(parts)] + below)
 
     def test_containment_matches_reachability(self):
         # strict containment between slices of different weight coincides
