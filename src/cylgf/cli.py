@@ -13,6 +13,9 @@ calls return records and tuples, never text.  A command returns (exit code,
 output text, counters or None), its counters built only under `--verbose`;
 `main` alone times it and writes the counters to stderr as one JSON object
 and the text, newline-ended and help included, to stdout or `--out`.
+`verify` is one loop over (tag, z-power, order) checks, one for `--id` and
+one per identity of `data/verify_all.json` for `--all`, which then checks
+the lemma grid in one batch.
 
 At module level this imports only what `import cylgf` loads anyway:
 `record`, `cylindric` and `series`.  `json` and the modules that only some
@@ -155,36 +158,6 @@ def cmd_flow(args):
     return 0, "\n".join(lines), work
 
 
-def _verify_one(tag: str, order: int, z_power, lines: list[str],
-                work: dict) -> bool:
-    """Check one --id tag, up to a lemma tag's first failing spec, and
-    append its line."""
-    if tag.startswith("L"):
-        lemmas = _lazy.lemmas
-        specs = lemmas.parse_tag(tag)
-        work["lemma_specs"] += len(specs)
-        checks = lemmas.verify_lemmas(specs, order)
-        bad = next((b for b in checks if b is not None), None)
-    else:
-        work["identities"] += 1
-        bad = first_mismatch(*_lazy.genfun.catalog_sides(tag, order, z_power))
-    name = tag if z_power is None else f"{tag}(z=q^{z_power})"
-    status = "PASS" if bad is None else "FAIL@q^{} lhs={} rhs={}".format(*bad)
-    lines.append(f"{name},order={order},{status}")
-    return bad is None
-
-
-def _lemma_line(spec, order: int, bad, lines: list[str]) -> bool:
-    """Append the line of one spec of the --all grid, given its
-    `verify_lemmas` result."""
-    status = "PASS" if bad is None else f"FAIL@q^{bad[0]}"
-    k = "-" if spec.fixed_k is None else spec.fixed_k
-    m_vec = "+".join(map(str, spec.blocks))
-    lines.append(f"{spec.family},{len(spec.blocks)},{m_vec},{k},{order},"
-                 f"{status}")
-    return bad is None
-
-
 def cmd_verify(args):
     if args.z_power is not None and (args.all or args.id != "gasper"):
         raise InputError("--z-power applies only to --id gasper")
@@ -192,40 +165,55 @@ def cmd_verify(args):
         raise InputError("--format csv applies only to a catalog identity")
     if args.all and args.id is not None:
         raise InputError("verify takes --id or --all, not both")
-    lines: list[str] = []
-    ok = True
-    work = {"identities": 0, "lemma_specs": 0}
     if args.all:
         import os  # not loaded at start-up under `python -S`
 
-        lemmas = _lazy.lemmas
         with open(os.path.join(os.path.dirname(__file__), "data",
                                "verify_all.json"), encoding="utf-8") as fh:
             grid = _lazy.json.load(fh)
-        for entry in grid["identities"]:
-            order = args.order if args.order is not None else entry["order"]
-            ok &= _verify_one(entry["id"], order, entry.get("z_power"), lines,
-                              work)
+        checks = [(entry["id"], entry.get("z_power"), entry["order"])
+                  for entry in grid["identities"]]
+    elif args.id:
+        checks = [(args.id, args.z_power, 40)]
+    else:
+        raise InputError("verify needs --id or --all")
+    lines: list[str] = []
+    ok = True
+    work = {"identities": 0, "lemma_specs": 0}
+    for tag, z_power, default in checks:
+        order = default if args.order is None else args.order
+        if tag.startswith("L"):  # a lemma tag, up to its first failing spec
+            lemmas = _lazy.lemmas
+            specs = lemmas.parse_tag(tag)
+            work["lemma_specs"] += len(specs)
+            bad = next(filter(None, lemmas.verify_lemmas(specs, order)), None)
+        else:
+            work["identities"] += 1
+            lhs, rhs = _lazy.genfun.catalog_sides(tag, order, z_power)
+            bad = first_mismatch(lhs, rhs)
+        ok &= bad is None
+        if args.format == "csv":
+            lines.append("degree,lhs,rhs,equal")
+            lines += [f"{n},{a},{b},{str(a == b).lower()}"
+                      for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs))]
+        else:
+            name = tag if z_power is None else f"{tag}(z=q^{z_power})"
+            status = "FAIL@q^{} lhs={} rhs={}".format(*bad) if bad else "PASS"
+            lines.append(f"{name},order={order},{status}")
+    if args.all:
+        # the whole lemma grid in one batch, whose specs share prefix tries
+        lemmas = _lazy.lemmas
         lem = grid["lemmas"]
-        order = args.order if args.order is not None else lem["order"]
+        order = lem["order"] if args.order is None else args.order
         specs = lemmas.grid(lem["n_max"], lem["m_max"], lem["k_max"])
         work["lemma_specs"] += len(specs)
         for spec, bad in zip(specs, lemmas.verify_lemmas(specs, order)):
-            ok &= _lemma_line(spec, order, bad, lines)
-    elif args.id:
-        order = args.order if args.order is not None else 40
-        if args.format == "csv":
-            lhs, rhs = _lazy.genfun.catalog_sides(args.id, order, args.z_power)
-            work["identities"] += 1
-            lines.append("degree,lhs,rhs,equal")
-            for n in range(order + 1):
-                a, b = lhs.coeffs[n], rhs.coeffs[n]
-                lines.append(f"{n},{a},{b},{str(a == b).lower()}")
-                ok &= a == b
-        else:
-            ok = _verify_one(args.id, order, args.z_power, lines, work)
-    else:
-        raise InputError("verify needs --id or --all")
+            ok &= bad is None
+            k = "-" if spec.fixed_k is None else spec.fixed_k
+            status = "PASS" if bad is None else f"FAIL@q^{bad[0]}"
+            m_vec = "+".join(map(str, spec.blocks))
+            lines.append(f"{spec.family},{len(spec.blocks)},{m_vec},{k},"
+                         f"{order},{status}")
     return 0 if ok else 1, "\n".join(lines), work if args.verbose else None
 
 

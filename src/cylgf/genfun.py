@@ -79,8 +79,8 @@ class ChainGF(Record):
     _compared = __slots__[:4]
 
     def __init__(self, profile: Profile, order: int, distinct: bool,
-                 table: tuple[tuple[int, ...], ...], nodes: int = 0,
-                 shapes: int = 0, shape_pairs: int = 0, slot_bits: int = 0):
+                 table: tuple[tuple[int, ...], ...], nodes: int, shapes: int,
+                 shape_pairs: int, slot_bits: int):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "distinct", distinct)

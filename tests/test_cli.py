@@ -242,6 +242,33 @@ class TestVerify:
         assert len(lines) == 7
         assert all(line.endswith(",true") for line in lines[1:])
 
+    def test_failing_catalog_identity(self, capsys, monkeypatch):
+        # the sum side of 1.4 is one too big at q^3 alone: each form of
+        # output reports that degree of that identity and exits 1
+        real = genfun.catalog_sides
+
+        def sides(tag, order, z_power=None):
+            lhs, rhs = real(tag, order, z_power)
+            if tag == "1.4":
+                lhs = lhs + Series.monomial(3, order)
+            return lhs, rhs
+
+        monkeypatch.setattr(genfun, "catalog_sides", sides)
+        c = real("1.4", 10)[1].coeffs[3]
+        fail = f"1.4,order=10,FAIL@q^3 lhs={c + 1} rhs={c}"
+        code, out, _ = run(capsys, "verify", "--id", "1.4", "--order", "10")
+        assert (code, out) == (1, fail + "\n")
+        code, out, _ = run(capsys, "verify", "--id", "1.4", "--order", "10",
+                           "--format", "csv")
+        lines = out.splitlines()
+        assert code == 1 and lines[0] == "degree,lhs,rhs,equal"
+        assert lines[4] == f"3,{c + 1},{c},false"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == (
+            ["true"] * 3 + ["false"] + ["true"] * 7)
+        code, out, _ = run(capsys, "verify", "--all", "--order", "10")
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == [fail]
+
     def test_needs_id_or_all(self, capsys):
         code, _, err = run(capsys, "verify", "--order", "10")
         assert code == 2
@@ -320,6 +347,7 @@ class TestNoRecordKeys:
         ["flow", "--profile", "1,1,1,1", "--max-weight", "5"],
         ["verify", "--all", "--order", "12"],
         ["verify", "--id", "1.4"],
+        ["verify", "--id", "1.4", "--order", "20", "--format", "csv"],
         ["verify", "--id", "L4.3(1,2)"],
         ["decompose", "--json", TestDecompose.PART, "--boards"],
     ], ids=" ".join)

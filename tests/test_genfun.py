@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylgf import genfun, lemmas
-from cylgf.cli import _verify_one, main
+from cylgf.cli import main
 from cylgf.cylindric import Profile, enumerate_table
 from cylgf.genfun import (PROFILE_IDENTITIES, UnknownIdentityError, borodin,
                           borodin_specs, catalog_sides, chain_series)
@@ -540,9 +540,13 @@ class TestLemmaRouting:
             with pytest.raises(LemmaSpecError):
                 parse_tag(bad)
 
-    def test_verify_identity_routes_lemmas(self):
-        lines, work = [], {"identities": 0, "lemma_specs": 0}
-        assert _verify_one("L4.3(2,1)", 30, None, lines, work)
-        assert _verify_one("1.3", 30, None, lines, work)
-        assert lines == ["L4.3(2,1),order=30,PASS", "1.3,order=30,PASS"]
-        assert work == {"identities": 1, "lemma_specs": 1}
+    def test_verify_identity_routes_lemmas(self, capsys):
+        for tag, work in [("L4.3(2,1)", {"identities": 0, "lemma_specs": 1}),
+                          ("1.3", {"identities": 1, "lemma_specs": 0})]:
+            argv = ["verify", "--id", tag, "--order", "30", "--verbose"]
+            assert main(argv) == 0
+            out = capsys.readouterr()
+            assert out.out == f"{tag},order=30,PASS\n"
+            counters = json.loads(out.err)
+            assert counters.pop("seconds") >= 0
+            assert counters == work, tag

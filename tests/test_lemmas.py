@@ -1,6 +1,8 @@
 """Tests for the nested-sum identities and their closed forms."""
 import itertools
+import json
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference
 from cylgf import lemmas
-from cylgf.cli import _lemma_line, main
+from cylgf.cli import main
 from cylgf.lemmas import (LemmaSpecError, NestedSumSpec, _term, closed_form,
                           grid, nested_sum, nested_sums, verify_lemmas)
 from cylgf.series import PochSpec, Series
@@ -376,12 +378,19 @@ class TestVerify:
         assert sum(1 for s in specs if s.fixed_k is not None) == 2 * 2 * 2
         assert sum(1 for s in specs if s.fixed_k is None) == 3 * (2 + 4)
 
-    def test_report_line(self):
-        # the --all grid line is formatted by the cli
-        lines = []
-        spec = NestedSumSpec("A", (1, 2), fixed_k=None)
-        ok = _lemma_line(spec, 20, *verify_lemmas([spec], 20), lines)
-        assert ok and lines == ["A,2,1+2,-,20,PASS"]
-        spec = NestedSumSpec("B", (2,), fixed_k=3)
-        ok = _lemma_line(spec, 20, *verify_lemmas([spec], 20), lines)
-        assert ok and lines[1:] == ["B,1,2,3,20,PASS"]
+    def test_report_line(self, capsys):
+        # the --all grid lines are formatted by the cli: family, blocks,
+        # block lengths, fixed k or "-", order, status
+        assert main(["verify", "--all", "--order", "20", "--verbose"]) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert "A,2,1+2,-,20,PASS" in lines
+        assert "B,1,2,3,20,PASS" in lines
+        counters = json.loads(out.err)
+        assert counters.pop("seconds") >= 0
+        pinned = json.loads(files("cylgf.data").joinpath("verify_all.json")
+                            .read_text())
+        lem = pinned["lemmas"]
+        assert counters == {
+            "identities": len(pinned["identities"]),
+            "lemma_specs": len(grid(lem["n_max"], lem["m_max"], lem["k_max"]))}

@@ -84,5 +84,9 @@ def test_defaults_and_keywords():
     assert PochSpec(1, 2, 3, count=4) == PochSpec(1, 2, 3, 4)
     assert NestedSumSpec("A", (2,)).fixed_k is None
     assert NestedSumSpec("A", (2,), fixed_k=1) == NestedSumSpec("A", (2,), 1)
-    gf = ChainGF(Profile((1, 1)), 0, False, ((1,),))
-    assert (gf.nodes, gf.shapes, gf.shape_pairs, gf.slot_bits) == (0, 0, 0, 0)
+    # the four work counters have no defaults: chain_series passes them all
+    with pytest.raises(TypeError):
+        ChainGF(Profile((1, 1)), 0, False, ((1,),))
+    gf = ChainGF(Profile((1, 1)), 0, False, ((1,),), nodes=1, shapes=2,
+                 shape_pairs=3, slot_bits=4)
+    assert (gf.nodes, gf.shapes, gf.shape_pairs, gf.slot_bits) == (1, 2, 3, 4)
