@@ -141,18 +141,13 @@ def cmd_count(args):
 def cmd_flow(args):
     slices = _lazy.slices
     profile = _parse_profile(args.profile)
+    # nodes come in print order, (weight, shape), and edges sorted
     nodes, edges = slices.flow_graph(profile, args.max_weight)
-    gray = slices.baseline(profile)
-    # nodes in (weight, shape, white) order, edges by their ends' ranks; a
-    # white tuple is unique, so the keys alone sort
-    order = sorted((sum(t), slices.shape(gray, t), t) for t in nodes)
-    names = {sh: slices.shape_name(sh) for sh in {sh for _, sh, _ in order}}
-    rank = {t: k for k, (_, _, t) in enumerate(order)}
+    names = {sh: slices.shape_name(sh) for sh in {sh for _, sh in nodes}}
     lines = ["digraph sliceflow {"]
-    for k, (weight, sh, _) in enumerate(order):
-        lines.append(f'  n{k} [label="{names[sh]}q^{weight}"];')
-    for i, j in sorted((rank[u], rank[v]) for u, v in edges):
-        lines.append(f"  n{i} -> n{j};")
+    lines += [f'  n{k} [label="{names[sh]}q^{weight}"];'
+              for k, (weight, sh) in enumerate(nodes)]
+    lines += [f"  n{i} -> n{j};" for i, j in edges]
     lines.append("}")
     work = {"nodes": len(nodes), "edges": len(edges)} if args.verbose else None
     return 0, "\n".join(lines), work
@@ -173,7 +168,7 @@ def cmd_verify(args):
             grid = _lazy.json.load(fh)
         checks = [(entry["id"], entry.get("z_power"), entry["order"])
                   for entry in grid["identities"]]
-    elif args.id:
+    elif args.id is not None:
         checks = [(args.id, args.z_power, 40)]
     else:
         raise InputError("verify needs --id or --all")

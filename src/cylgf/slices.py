@@ -1,14 +1,14 @@
 """Slice calculus over a profile's gray baseline.
 
 A slice records, per row, how many white squares sit to the right of the
-gray staircase the profile induces.  Everything downstream (containment,
-shapes, minimal representatives, the single-square flow graph) is phrased
-in terms of these white counts.  A valid slice is also a pair (sigma, L) of
-its shape and its last-row length, and `shape_floors` lists the shapes
-with their least last-row lengths for the chain DP.  Row j of (sigma, L) has
-length sigma_j + L, so containment is entrywise order on the shapes, shifted
-by the difference in L (the difference condition between shape letters),
-and the chain DP reads it off sums over the lattice of shapes.
+gray staircase the profile induces.  `Slice`, `decompose`, containment and
+`iter_slices` speak in these white counts.  A valid slice is also a pair
+(sigma, L) of its shape and its last-row length: the single-square flow
+graph grows shapes, and `shape_floors` lists the shapes with their least
+last-row lengths for the chain DP.  Row j of (sigma, L) has length
+sigma_j + L, so containment is entrywise order on the shapes, shifted by the
+difference in L (the difference condition between shape letters), and the
+chain DP reads it off sums over the lattice of shapes.
 
 Slices grow one square at a time.  Row i of a valid slice t takes one more
 square, and the slice stays valid, iff t_i < t_{i-1} + c_i, cyclically: no
@@ -19,7 +19,18 @@ row has t_{i+1} >= 1 too; some row has, so every row has, and summing
 t_{i+1} - t_i = c_{i+1} once round the cylinder gives level 0, which no
 profile has.  So the valid slices of weight w + 1 are the growths of those
 of weight w, from the empty slice up, and those growths are the edges into
-them: one pass (`_layers`) gives `iter_slices` and `flow_graph` both.
+them.
+
+The growth is read in shape coordinates, sigma_j = (b_j + t_j) - (b_r + t_r),
+with sigma_0 = level and sigma_r = 0 set around it.  Since b_{i-1} - b_i = c_i,
+b_1 = level and b_r = c_1, the rule t_i < t_{i-1} + c_i says b_i + t_i <
+b_{i-1} + t_{i-1} for 1 < i <= r and b_1 + t_1 < level + b_r + t_r for i = 1;
+subtracting b_r + t_r gives sigma_i < sigma_{i-1} for every row.  A square in
+row i < r raises sigma_i by one, and one in row r lowers every entry by one.
+The empty slice has the gray shape (b_j - b_r), and within one weight w a
+shape fixes its slice, whose last-row length is (w + sum(b) - sum(sigma)) / r.
+So a weight layer is a set of shapes, and one pass (`_layers`) gives
+`flow_graph` and `iter_slices` both.
 """
 from __future__ import annotations
 
@@ -115,20 +126,25 @@ def decompose(cp: CylindricPartition) -> list[Slice]:
     return [Slice(cp.profile, white) for white in zip(*columns)]
 
 
-def _growths(c: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The valid slices with one square more than the valid slice t, by row:
-    row i takes a square iff t_i < t_{i-1} + c_i, cyclically."""
-    return [t[:i] + (t[i] + 1,) + t[i + 1:]
-            for i in range(len(t)) if t[i] < t[i - 1] + c[i]]
+def _growths(level: int, sh: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The shapes of the valid slices with one square more than the slice of
+    shape sh, in increasing order (module docstring): a square in row r
+    lowers every entry, one in row i < r raises sh_i, the later row first."""
+    grown = [tuple([s - 1 for s in sh])] if (sh[-1] if sh else level) else []
+    for i in range(len(sh) - 1, -1, -1):
+        if sh[i] < (sh[i - 1] if i else level):
+            grown.append(sh[:i] + (sh[i] + 1,) + sh[i + 1:])
+    return grown
 
 
 def _layers(profile: Profile, max_weight: int):
-    """For w = 1..max_weight: the growth lists of the slices of weight
-    w - 1, in layer order, and the sorted layer of weight w they make up."""
-    c = profile.parts
-    layer = [(0,) * profile.rank]
+    """For w = 1..max_weight: the growth lists of the shapes of weight w - 1,
+    in layer order, and the sorted layer of shapes of weight w they make up;
+    weight 0 holds the empty slice's gray shape alone."""
+    b, level = baseline(profile), profile.level
+    layer = [tuple([x - b[-1] for x in b[:-1]])]
     for _ in range(max_weight):
-        grown = [_growths(c, t) for t in layer]
+        grown = [_growths(level, sh) for sh in layer]
         layer = sorted({u for us in grown for u in us})
         yield grown, layer
 
@@ -137,13 +153,21 @@ def iter_slices(profile: Profile, max_weight: int):
     """White tuples of the non-empty valid slices with weight <= max_weight,
     lazily, in (weight, white tuple) order.
 
-    Each weight's slices are the one-square growths of the weight below
-    (module docstring), from the empty slice, collected in one set and
-    sorted.  Only valid slices are built, so a caller that stops early pays
-    for the weight layers up to the one it stopped in, and no more.
+    Each weight's shapes come from `_layers`; the slice of shape sigma and
+    weight w has last-row length L = (w + sum(b) - sum(sigma)) / r and white
+    counts t_j = sigma_j + L - b_j, t_r = L - b_r.  Only valid slices are
+    built, so a caller that stops early pays for the weight layers up to the
+    one it stopped in, and no more.
     """
-    for _, layer in _layers(profile, max_weight):
-        yield from layer
+    b = baseline(profile)
+    r, total = profile.rank, sum(b)
+    for w, (_, layer) in enumerate(_layers(profile, max_weight), 1):
+        whites = []
+        for sh in layer:
+            last = (w + total - sum(sh)) // r
+            whites.append(tuple([s + last - x for s, x in zip(sh + (0,), b)]))
+        whites.sort()
+        yield from whites
 
 
 def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
@@ -214,17 +238,21 @@ def shape_name(sh: tuple[int, ...]) -> str:
 
 def flow_graph(profile: Profile, max_weight: int):
     """The single-square-addition graph on the non-empty valid slices of
-    weight <= max_weight, as white tuples: the tuple of nodes, sorted by
-    (weight, white tuple), and the tuple of (u, v) edges, v having one white
-    square more.
+    weight <= max_weight: the tuple of (weight, shape) nodes, sorted, and the
+    sorted tuple of (i, j) node-index edges, node j having one white square
+    more than node i.
 
-    The growths that build each layer (`_layers`) are the edges into it, by
-    row, so each slice is grown once; the empty slice's growths give no
-    edges.  A max_weight below 1 gives the empty graph.
+    The growths that build each layer (`_layers`) are the edges into it, so
+    each slice is grown once; the empty slice's growths give no edges.  Each
+    growth list is sorted and so is each layer, so the edges come out
+    sorted.  A max_weight below 1 gives the empty graph.
     """
-    nodes, edges, below = [], [], ()
-    for grown, layer in _layers(profile, max_weight):
-        edges += [(t, u) for t, us in zip(below, grown) for u in us]
-        nodes += layer
-        below = layer
+    nodes, edges, below = [], [], None
+    for weight, (grown, layer) in enumerate(_layers(profile, max_weight), 1):
+        index = dict(zip(layer, range(len(nodes), len(nodes) + len(layer))))
+        if below is not None:
+            edges += [(i, index[u]) for i, us in enumerate(grown, below)
+                      for u in us]
+        below = len(nodes)
+        nodes += [(weight, sh) for sh in layer]
     return tuple(nodes), tuple(edges)

@@ -6,8 +6,9 @@
 visits,
 `dual` is the rank-level duality map and `profiles_up_to` lists every
 profile up to a rank and a level, `zero_one_valid` tests white counts
-against the definition, and `comb_shape_name` names a shape with one
-`comb` per entry, the reference for `slices.shape_name`; `recursive_walk` is the
+against the definition and `valid_whites` lists the slices it passes, and
+`comb_shape_name` names a shape with one `comb` per entry, the reference
+for `slices.shape_name`; `recursive_walk` is the
 enumeration oracle's walk as plain recursion, one call per partition,
 without its pruning of the rows between the first and the last;
 `walk_table` counts by (largest part, size) from it, the reference for
@@ -110,6 +111,21 @@ def zero_one_valid(profile: Profile, white: tuple[int, ...]) -> bool:
     except PartitionError:
         return False
     return True
+
+
+def valid_whites(profile: Profile, max_weight: int) -> list[tuple[int, ...]]:
+    """White tuples of weight 1..max_weight that `zero_one_valid` passes, in
+    (weight, white tuple) order: every tuple of each weight is tried."""
+    def tuples(total, rank):
+        if rank == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in tuples(total - first, rank - 1):
+                yield (first,) + rest
+
+    return [t for w in range(1, max_weight + 1)
+            for t in tuples(w, profile.rank) if zero_one_valid(profile, t)]
 
 
 def comb_shape_name(sh: tuple[int, ...]) -> str:

@@ -6,9 +6,10 @@ from cylgf import genfun, lemmas
 from cylgf.cli import main as cli_main
 from cylgf.cylindric import Profile, enumerate_table, iter_partitions
 from cylgf.series import PochSpec, Series, first_mismatch, pochhammer
-from cylgf.slices import baseline, decompose, flow_graph, iter_slices, shape
+from cylgf.slices import baseline, decompose, iter_slices, shape
 from reference import dual, recompose, profiles_up_to
 from test_cylindric import all_profiles
+from test_slices import white_graph
 
 TWELVE_PROFILES = [(1, 1), (2, 0), (2, 1), (3, 0), (2, 0, 0), (1, 1, 0),
                    (4, 0), (2, 2), (3, 1), (2, 0, 0, 0), (1, 0, 1, 0),
@@ -138,13 +139,13 @@ def test_10_round_trip(capsys):
 
 
 def test_11_flow_fidelity(capsys):
-    _, edges = flow_graph(Profile((2, 1)), 4)
+    _, edges = white_graph(Profile((2, 1)), 4)
     edges21 = set(edges)
     ok = edges21 == {
         ((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (2, 0)),
         ((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 0), (2, 1)),
         ((1, 2), (2, 2)), ((2, 1), (2, 2)), ((2, 1), (3, 1))}
-    _, edges = flow_graph(Profile((1, 1)), 4)
+    _, edges = white_graph(Profile((1, 1)), 4)
     edges11 = set(edges)
     ok &= edges11 == {
         ((0, 1), (1, 1)), ((1, 0), (1, 1)),

@@ -764,8 +764,10 @@ class TestGolden:
     shapes have up to 3 and 5 removable corners, and on (1,1,0,0) at order
     100, (2,1) at order 150 and (1,0,0,0,0,0,0,0) at order 100, where the
     chain DP's folded slot width W(r, N) exceeds the bit length of
-    [q^N] (q;q)_oo^(-r) by 13-23 bits; last, an empty `--out`, spelled
-    `--out ""` and `--out=`.
+    [q^N] (q;q)_oo^(-r) by 13-23 bits; an empty `--out`, spelled
+    `--out ""` and `--out=`; `flow` at rank 1, where every shape is (),
+    and on (0,2,0), where equal shape entries block a row; last, an empty
+    `verify --id`, plain and with `--format csv`.
     """
 
     def test_cases_distinct(self):

@@ -14,7 +14,7 @@ from cylgf.slices import (Slice, SliceError, baseline, contains,
                           decompose, flow_graph, iter_slices, min_slices,
                           shape, shape_floors, shape_name)
 from reference import (comb_shape_name, recompose, shape_difference,
-                       zero_one_valid)
+                       valid_whites, zero_one_valid)
 from test_cylindric import all_profiles
 
 
@@ -230,22 +230,13 @@ class TestMinSlices:
 
 
 class TestIterSlices:
-    @staticmethod
-    def brute_force(profile, max_weight):
-        """Filter every tuple by the definition-level validator, then sort."""
-        found = [t for t in itertools.product(range(max_weight + 1),
-                                              repeat=profile.rank)
-                 if 0 < sum(t) <= max_weight and zero_one_valid(profile, t)]
-        found.sort(key=lambda t: (sum(t), t))
-        return found
-
     @settings(max_examples=150, deadline=None)
     @given(parts=st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(any),
            max_weight=st.integers(0, 8))
     def test_matches_brute_force(self, parts, max_weight):
         profile = Profile(tuple(parts))
         assert (list(iter_slices(profile, max_weight))
-                == self.brute_force(profile, max_weight))
+                == valid_whites(profile, max_weight))
 
     def test_matches_brute_force_on_small_profiles(self):
         # every profile of rank 1-4 with parts <= 2, at every max weight
@@ -257,7 +248,7 @@ class TestIterSlices:
                 profile = Profile(parts)
                 for max_weight in range(8):
                     assert (list(iter_slices(profile, max_weight))
-                            == self.brute_force(profile, max_weight)), \
+                            == valid_whites(profile, max_weight)), \
                         (parts, max_weight)
 
     def test_lazy(self):
@@ -293,9 +284,21 @@ class TestCensus:
                     (profile, sh)
 
 
+def white_graph(profile, max_weight):
+    """`flow_graph`'s nodes as white tuples, each (weight, shape) node read
+    back as the brute-force slice of that weight and `shape`, and its edges
+    as pairs of them."""
+    gray = baseline(profile)
+    white = {(sum(t), shape(gray, t)): t
+             for t in valid_whites(profile, max_weight)}
+    nodes, edges = flow_graph(profile, max_weight)
+    nodes = [white[node] for node in nodes]
+    return nodes, [(nodes[i], nodes[j]) for i, j in edges]
+
+
 class TestFlowGraph:
     def test_profile_2_1_weight_4(self):
-        _, edges = flow_graph(Profile((2, 1)), 4)
+        _, edges = white_graph(Profile((2, 1)), 4)
         assert set(edges) == {
             ((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (2, 0)),
             ((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 0), (2, 1)),
@@ -303,7 +306,7 @@ class TestFlowGraph:
         }
 
     def test_profile_1_1_weight_4(self):
-        _, edges = flow_graph(Profile((1, 1)), 4)
+        _, edges = white_graph(Profile((1, 1)), 4)
         assert set(edges) == {
             ((0, 1), (1, 1)), ((1, 0), (1, 1)),
             ((1, 1), (1, 2)), ((1, 1), (2, 1)),
@@ -313,71 +316,76 @@ class TestFlowGraph:
     def test_weight_one_is_edgeless(self):
         nodes, edges = flow_graph(Profile((2, 1)), 1)
         assert edges == ()
-        assert all(sum(t) == 1 for t in nodes)
+        assert nodes and all(weight == 1 for weight, _ in nodes)
 
     def test_edges_increase_weight_by_one(self):
-        _, edges = flow_graph(Profile((1, 0, 1)), 6)
+        _, edges = white_graph(Profile((1, 0, 1)), 6)
         for u, v in edges:
             assert sum(v) == sum(u) + 1
             assert sum(abs(a - b) for a, b in zip(u, v)) == 1
 
     @staticmethod
-    def one_square_pairs(nodes):
-        """The (u, v) node pairs with v one square heavier and u <= v row by
-        row, by a brute force over all pairs of adjacent weights."""
+    def check_against_brute_force(profile, max_weight):
+        """The nodes are the brute-force slices as (weight, shape) pairs, in
+        that order, and the edges are the index pairs of the (u, v) slices
+        with v one square heavier and u <= v row by row, found by a brute
+        force over all pairs of adjacent weights, in order."""
+        gray = baseline(profile)
+        whites = valid_whites(profile, max_weight)
+        key = {t: (sum(t), shape(gray, t)) for t in whites}
+        nodes, edges = flow_graph(profile, max_weight)
+        assert nodes == tuple(sorted(key.values())), profile
+        index = {node: k for k, node in enumerate(nodes)}
         by_weight = {}
-        for t in nodes:
+        for t in whites:
             by_weight.setdefault(sum(t), []).append(t)
-        return {(u, v) for w, low in by_weight.items()
-                for u in low for v in by_weight.get(w + 1, ())
-                if all(a <= b for a, b in zip(u, v))}
+        pairs = {(index[key[u]], index[key[v]])
+                 for w, low in by_weight.items()
+                 for u in low for v in by_weight.get(w + 1, ())
+                 if all(a <= b for a, b in zip(u, v))}
+        assert edges == tuple(sorted(pairs)), profile
 
     def test_edges_are_all_one_square_pairs(self):
-        # flow_graph tests one inequality per row; a brute force over all
-        # node pairs, for every profile of rank 1-5 and level <= 3 (zero
-        # parts included), finds the same edges
+        # flow_graph tests one inequality per shape entry; a brute force over
+        # all tuples and all node pairs, for every profile of rank 1-5 and
+        # level <= 3 (zero parts included), finds the same graph
         for rank in range(1, 6):
             for parts in itertools.product(range(4), repeat=rank):
-                if not 1 <= sum(parts) <= 3:
-                    continue
-                nodes, edges = flow_graph(Profile(parts), 6)
-                pairs = self.one_square_pairs(nodes)
-                assert len(edges) == len(pairs), parts
-                assert set(edges) == pairs, parts
+                if 1 <= sum(parts) <= 3:
+                    self.check_against_brute_force(Profile(parts), 6)
 
     def test_census_profiles_at_max_weight_8(self):
         # the slice-census benchmark's domain, rank 4-7 and rank + level
-        # <= 8 at its largest max weight: flow_graph builds its nodes in
-        # its own pass, so they are checked against iter_slices too
+        # <= 8 at its largest max weight
         profiles = [p for p in all_profiles(8) if p.rank >= 4]
         assert len(profiles) == 158
         for profile in profiles:
-            nodes, edges = flow_graph(profile, 8)
-            assert nodes == tuple(iter_slices(profile, 8)), profile
-            pairs = self.one_square_pairs(nodes)
-            assert len(edges) == len(pairs), profile
-            assert set(edges) == pairs, profile
+            self.check_against_brute_force(profile, 8)
 
     @pytest.mark.parametrize("parts, max_weight", [
         ((1, 1), 1), ((2, 1), 6), ((1, 0, 1), 7), ((1, 1, 1, 1), 8),
         ((2, 0, 0, 0, 1), 8), ((1, 0, 0, 0, 0, 0, 0), 5)])
     def test_each_slice_is_grown_once(self, monkeypatch, parts, max_weight):
         # the edges come from the growths that build the next weight: the
-        # empty slice and each node below max_weight are grown once each
+        # empty slice's gray shape and each node below max_weight are grown
+        # once each
         grown, growths = [], slices._growths
         monkeypatch.setattr(slices, "_growths",
-                            lambda c, t: grown.append(t) or growths(c, t))
-        nodes, _ = flow_graph(Profile(parts), max_weight)
-        below = [t for t in nodes if sum(t) < max_weight]
+                            lambda level, sh: grown.append(sh)
+                            or growths(level, sh))
+        profile = Profile(parts)
+        nodes, _ = flow_graph(profile, max_weight)
+        below = [sh for weight, sh in nodes if weight < max_weight]
+        gray = shape(baseline(profile), (0,) * len(parts))
         assert len(grown) == 1 + len(below)
-        assert sorted(grown) == sorted([(0,) * len(parts)] + below)
+        assert sorted(grown) == sorted([gray] + below)
 
     def test_containment_matches_reachability(self):
         # strict containment between slices of different weight coincides
         # with reachability along single-square additions
         for parts in [(1, 1), (2, 1), (1, 1, 1), (2, 0)]:
             profile = Profile(parts)
-            nodes, edges = flow_graph(profile, 12)
+            nodes, edges = white_graph(profile, 12)
             nodes = [Slice(profile, t) for t in nodes]
             edges = [(Slice(profile, u), Slice(profile, v)) for u, v in edges]
             succ = {}
