@@ -72,7 +72,7 @@ _lazy = _Lazy()
 
 def _parse_profile(text: str) -> Profile:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        parts = tuple(map(int, text.split(",")))
     except ValueError:
         raise InputError(f"cannot parse profile {text!r}")
     return Profile(parts)

@@ -2,11 +2,12 @@
 
 * borodin: the closed-form infinite product for F_c(1, q).
 * chain_series: the slice-chain DP, the paper's method of weighted words:
-  each last-row length keeps down-set sums over the lattice of shape
-  letters, from which the chains inside each slice are read.  It is
-  refined by the largest-part statistic (z-degree) and the size (q-degree)
-  for the callers that read F_c(z, q) (the tests and the benchmark checks),
-  or run at z = 1 for `expand`, which prints only F_c(1, q).
+  each last-row length keeps down-set sums over the live prefix of the
+  lattice of shape letters, from which the chains inside each slice are
+  read.  It is refined by the largest-part statistic (z-degree) and the
+  size (q-degree) for the callers that read F_c(z, q) (the tests and the
+  benchmark checks), or run at z = 1 for `expand`, which prints only
+  F_c(1, q).
 * catalog_sides: a table of named series identities, one row per tag
   (the lemma tags L4.x, L5.x belong to `lemmas`), read by one evaluator.
   Each sum is kept by its term ratio and built term from previous term,
@@ -16,7 +17,9 @@
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
+from operator import mul
 
 from .cylindric import Profile
 from .record import InputError, Record
@@ -68,7 +71,7 @@ class ChainGF(Record):
     table = (row,) with row[n] = [q^n] F_c(1, q); `marginal` reads both.
     The last four fields describe the work, and equality and hashing leave
     them out.  `nodes`, `shapes` and `shape_pairs` (slices of weight <= N,
-    shapes, shape-lattice sums read) are counted from the lattice and are
+    shapes, lattice sums the sweep reads) are counted from the lattice and are
     the same for either layout; `slot_bits` is the packed slot width of the
     layout that filled the table: W(r, N) folded, the bit length of the
     largest [q^k] F_c(1, q) refined.
@@ -112,8 +115,10 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     weighted-words difference condition L - L'' >= d(sigma', sigma) =
     max(0, max_j (sigma'_j - sigma_j)).  g(sigma, L) collects the chains
     whose largest (bottom) slice is (sigma, L); it is 0 unless (sigma, L) is
-    a slice of weight <= N.  Each last-row length L keeps two lists over all
-    shapes:
+    a slice of weight <= N, that is unless L_min(sigma) <= L <= high(sigma),
+    with L_min the floor of `shape_floors` and high(sigma) =
+    (N + sum(b) - size(sigma)) // r, size(sigma) = sum_j sigma_j.  The DP
+    keeps two sums per cell (sigma, L):
 
     * H_L(sigma), the sum of g(sigma', L) over sigma' <= sigma entrywise;
     * T_L(sigma) = H_L(sigma) + T_{L-1}(sigma+), with sigma+ =
@@ -130,11 +135,45 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     sigma - A, also a shape.  So by inclusion-exclusion
     S = sum over non-empty A of (-1)^(|A|+1) H_L(sigma - A), the chains below
     (sigma, L), with the empty one, number inner = 1 + T_{L-1}(sigma+) + S,
-    and H_L(sigma) = S + g(sigma, L).  Shapes are visited in `shape_floors`
-    order, in which sigma - A comes before sigma, and T_{L-1} is complete
-    before layer L starts.  A shape with c corners costs 2^c reads,
-    c <= min(r - 1, level), one of them of T_{L-1}; no pair of letters is
-    ever compared.  `shape_pairs` counts the reads.
+    and H_L(sigma) = S + g(sigma, L).
+
+    A shape is the int sum_j sigma_j * (level+1)^(r-2-j), so sigma - A and
+    sigma+ are integer arithmetic, and one dict turns them into positions
+    in `shape_floors` order, (size, shape), in which sigma - A comes before
+    sigma.  With the shapes so numbered, the lattice is built in one pass
+    over that order.  The sweep runs L up from the least floor at or below
+    its shape's high, below which every g is 0, and does only the work the
+    answer needs, by three facts:
+
+    1. high(sigma) does not increase along the order, since size does not
+       decrease.  So at L the shapes with high >= L, the only ones whose g
+       can be non-zero, form a prefix of the order, and the sweep stops at
+       its end.  Nothing a cell of the prefix reads lies past it: sigma - A
+       is smaller, and (sigma+, L-1) has weight at most
+       w(sigma, L) - 1 <= N, since sigma+ adds at most r - 1 to the size
+       and one less L takes off r.
+    2. If L < L_min(sigma), every sigma' <= sigma has L_min(sigma') >=
+       L_min(sigma): each term b_j - sigma'_j is at least b_j - sigma_j,
+       and a shape strictly below the gray shape (b_j - b_r) has some
+       b_j - sigma'_j > b_r, which covers the gray shape's +1.  So
+       H_L(sigma) = 0, and T_L(sigma) = T_{L-1}(sigma+) is 0 too: some row
+       of (sigma, L) falls short of its gray row (or, for the gray shape at
+       L = b_r, none passes it), and a slice inside has no row longer, so
+       it is invalid or empty.  Such a cell makes no lattice reads and no
+       writes: L only grows, so it was never written and holds 0.
+    3. T_L(sigma) may overwrite T_{L-1}(sigma) in place.  sigma+ comes at
+       or after sigma in the order, so the sweep reads T_{L-1}(sigma+)
+       before it writes T_L(sigma+).  If sigma+ lies past the prefix at L,
+       it still holds T_{L-1}(sigma+) from the layer below, where fact 1
+       puts it inside the prefix.  H_L may overwrite H_{L-1} too: a cell
+       reads H only at sigma - A, which comes before it in the prefix and
+       so was written at this L, or lies below its floor and holds 0.
+
+    So H and T are two fixed lists over the shapes, written in place, and
+    T holds 1 + T_L, the empty chain with it, so that inner = T(sigma+) + S.
+    A live cell, a slice of weight <= N, with c corners reads 2^c sums,
+    c <= min(r - 1, level), one of them of T; no pair of letters is ever
+    compared.  `shape_pairs` counts these reads.
 
     Each (z, q) table is one int (Kronecker substitution): z^m q^k sits in
     the B-bit slot k*(N+1) + m, so a table add is one big-int add.  A slot
@@ -176,73 +215,89 @@ def chain_series(profile: Profile, order: int, distinct: bool = False,
     """
     r, level, base = profile.rank, profile.level, sum(baseline(profile))
     floors = shape_floors(profile)
-    index = {sh: k for k, sh in enumerate(floors)}
-    # per shape sigma: its floor, the last L of a slice of weight <= N, its
-    # weight less r*L, the index of sigma+, and the indices of sigma - A for
-    # the non-empty sets A of removable corners, |A| odd and |A| even
-    shapes = []
-    for sh, low in floors.items():
-        below = [(sh, -1)]  # sigma - A with its sign (-1)^(|A|+1)
-        for j, (s, after) in enumerate(zip(sh, sh[1:] + (0,))):
+    top = order + base  # (sigma, L) has weight <= N iff r*L <= top - size
+    # shape sigma as the int sum_j sigma_j * (level+1)^(r-2-j); sigma+ adds
+    # every unit past sigma's leading entries equal to the level
+    units = [(level + 1) ** k for k in range(r - 2, -1, -1)]
+    tails = [sum(units[j:]) for j in range(r)]
+    codes = [sum(map(mul, sh, units)) for sh in floors]
+    find = dict(zip(codes, range(len(codes)))).__getitem__
+    # per shape: its floor, its weight less r*L, the index of sigma+, and
+    # the indices of sigma - A for the non-empty sets A of removable
+    # corners, |A| odd and |A| even; and the live cells and their reads
+    lattice, sizes = [], []
+    nodes = reads = 0
+    start = top // r + 1  # the least floor of a slice of weight <= N
+    for code, (sh, low) in zip(codes, floors.items()):
+        odd, even = [], [code]  # even holds A = {} first
+        for s, after, unit in zip(sh, sh[1:] + (0,), units):
             if s > after:
-                below += [(t[:j] + (s - 1,) + t[j + 1:], -sign)
-                          for t, sign in below]
+                odd, even = (odd + [c - unit for c in even],
+                             even + [c - unit for c in odd])
+        del even[0]
         size = sum(sh)
-        shapes.append((low, (order + base - size) // r, size - base,
-                       index[tuple([min(s + 1, level) for s in sh])],
-                       [index[t] for t, sign in below if sign > 0],
-                       [index[t] for t, sign in below[1:] if sign < 0]))
-    spans = [(low, high) for low, high, *_ in shapes if low <= high]
-    lengths = range(min((low for low, _ in spans), default=1),
-                    max((high for _, high in spans), default=0) + 1)
-    nodes = sum(high - low + 1 for low, high in spans)
-    reads = len(lengths) * sum(len(odd) + len(even) + 1
-                               for *_, odd, even in shapes)
+        sizes.append(size)
+        lattice.append((low, size - base, find(code + tails[sh.count(level)]),
+                        list(map(find, odd)), list(map(find, even))))
+        live = (top - size) // r - low + 1
+        if live > 0:
+            nodes += live
+            reads += live * (len(odd) + len(even) + 1)
+            start = min(start, low)
+    # each L the sweep runs, with the end of its prefix of shapes of
+    # high >= L (fact 1)
+    layers = [(length, bisect_right(sizes, top - r * length))
+              for length in range(start, top // r + 1)]
 
     bits = isqrt(137 * r * order // 10) + 1
-    table = _chain_pass(shapes, lengths, order, r, distinct, False, bits)
+    table = _chain_pass(lattice, layers, order, r, distinct, False, bits)
     if refined:
         bits = max(table[0]).bit_length()
-        table = _chain_pass(shapes, lengths, order, r, distinct, True, bits)
+        table = _chain_pass(lattice, layers, order, r, distinct, True, bits)
     return ChainGF(profile, order, distinct, table, nodes, len(floors), reads,
                    bits)
 
 
-def _chain_pass(shapes, lengths, n, r, distinct, refined, bits):
-    """One run of `chain_series`'s loop over the shape lattice in the layout
-    that `refined` names, at slot width `bits`: the table."""
+def _chain_pass(lattice, layers, n, r, distinct, refined, bits):
+    """One sweep of `chain_series` over the live cells in the layout that
+    `refined` names, at slot width `bits`: the table."""
     side = n + 1
     z_slots = side if refined else 1
     mask = (1 << (side * z_slots * bits)) - 1
     total = 1
-    inside_below = [0] * len(shapes)  # T_{L-1}, 0 below the least L
-    for length in lengths:
-        down, inside = [], []  # H_L and T_L
-        for low, high, w0, up, odd, even in shapes:
+    # H_L and 1 + T_L, the empty chain counted in T, written in place
+    down, inside = [0] * len(lattice), [1] * len(lattice)
+    for length, cut in layers:
+        lift = r * length
+        for k, (low, w0, up, odd, even) in enumerate(lattice[:cut]):
+            if length < low:
+                continue  # fact 2: H_L = T_L = 0, as both lists hold
             s = 0
-            for k in odd:
-                s += down[k]
-            for k in even:
-                s -= down[k]
-            if low <= length <= high:
-                w = w0 + r * length
-                span = (w * z_slots + refined) * bits
-                cur = ((1 + inside_below[up] + s) << span) & mask
-                if not distinct:
-                    # doublings until 2^steps >= floor(N/w) terms
-                    for _ in range((n // w - 1).bit_length()):
-                        cur = (cur + (cur << span)) & mask
-                        span *= 2
-                s += cur
-                total += cur
-            down.append(s)
-            inside.append(s + inside_below[up])
-        inside_below = inside
+            for j in odd:
+                s += down[j]
+            for j in even:
+                s -= down[j]
+            below = inside[up]
+            w = w0 + lift
+            span = (w * z_slots + refined) * bits
+            cur = ((below + s) << span) & mask
+            if not distinct:
+                # doublings until 2^steps >= floor(N/w) terms
+                for _ in range((n // w - 1).bit_length()):
+                    cur = (cur + (cur << span)) & mask
+                    span *= 2
+            s += cur
+            total += cur
+            down[k] = s
+            inside[k] = s + below
 
-    row_mask, slot_mask = (1 << z_slots * bits) - 1, (1 << bits) - 1
-    rows = [total >> k * z_slots * bits & row_mask for k in range(side)]
+    slot_mask = (1 << bits) - 1
+    if not refined:
+        return (tuple([total >> k * bits & slot_mask for k in range(side)]),)
+    row_mask = (1 << side * bits) - 1
+    rows = [total >> k * side * bits & row_mask for k in range(side)]
     return tuple(tuple(row >> m * bits & slot_mask for row in rows)
-                 for m in range(z_slots))
+                 for m in range(side))
 
 
 # --- identity catalog ------------------------------------------------------

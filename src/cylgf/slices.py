@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations_with_replacement
 from math import comb
+from operator import sub
 
 from .cylindric import CylindricPartition, Profile
 from .record import Record
@@ -179,17 +180,18 @@ def shape_floors(profile: Profile) -> dict[tuple[int, ...], int]:
     t_r = L - b_r, so L >= max(b_r, max_j (b_j - sigma_j)); the all-gray
     shape (that of the empty slice) starts one higher, at the slice with
     one white square in every row.  Its weight is sum(sigma) + r*L - sum(b).
-    Shapes come out in (sum(sigma), sigma) order, the order in which the
-    chain DP visits the slices of one last-row length.
+    Shapes come out in (sum(sigma), sigma) order; at each last-row length
+    the chain DP sweeps a prefix of it.
     """
     b = baseline(profile)
-    gray = tuple(x - b[-1] for x in b[:-1])
-    # combinations of the descending range are the weakly decreasing tuples
-    shapes = sorted(combinations_with_replacement(range(profile.level, -1, -1),
-                                                  profile.rank - 1),
-                    key=lambda sh: (sum(sh), sh))
-    return {sh: max([b[-1]] + [x - s for x, s in zip(b, sh)]) + (sh == gray)
-            for sh in shapes}
+    gray = tuple([x - b[-1] for x in b[:-1]])
+    # combinations of the descending range are the weakly decreasing tuples;
+    # sorted by (size, shape) pairs, and with sigma_r = 0 the floor's last
+    # term b_r - sigma_r is b_r
+    shapes = sorted([(sum(sh), sh) for sh in combinations_with_replacement(
+        range(profile.level, -1, -1), profile.rank - 1)])
+    return {sh: max(map(sub, b, sh + (0,))) + (sh == gray)
+            for _, sh in shapes}
 
 
 def min_slices(profile: Profile) -> dict[tuple[int, ...], Slice]:

@@ -2,8 +2,8 @@
 
 `recompose` inverts `slices.decompose` from the definition,
 `shape_difference` is the difference condition between two shape letters,
-`chain_visits` counts the (shape, last-row length) pairs the chain DP
-visits,
+`chain_visits` counts the live cells (shape, last-row length) of the
+chain DP and the lattice sums it reads there,
 `dual` is the rank-level duality map and `profiles_up_to` lists every
 profile up to a rank and a level, `zero_one_valid` tests white counts
 against the definition and `valid_whites` lists the slices it passes, and
@@ -88,19 +88,23 @@ def shape_difference(inner: tuple[int, ...], outer: tuple[int, ...]) -> int:
     return max([0] + [a - b for a, b in zip(inner, outer)])
 
 
-def chain_visits(profile: Profile, order: int) -> int:
-    """(shape, L) pairs that `genfun.chain_series` visits: every shape at
-    every last-row length L from the least floor of a slice of weight
-    sum(sigma) + r*L - sum(b) <= order to the greatest such L."""
-    base = sum(baseline(profile))
-    floors = shape_floors(profile)
-    spans = [(low, (order + base - sum(sh)) // profile.rank)
-             for sh, low in floors.items()]
-    spans = [(low, high) for low, high in spans if low <= high]
-    if not spans:
-        return 0
-    return len(floors) * (max(high for _, high in spans)
-                          - min(low for low, _ in spans) + 1)
+def chain_visits(profile: Profile, order: int) -> tuple[int, int]:
+    """The live cells of `genfun.chain_series`, the pairs (shape, L) that are
+    slices of weight <= order, and the lattice sums it reads there, counted
+    cell by cell.
+
+    A slice (sigma, L) has weight sum(sigma) + r*L - sum(b), so its shape's
+    greatest L of weight <= order is high = (order + sum(b) - sum(sigma))
+    // r, and its least is the shape's floor.  A live cell reads 2^c sums,
+    c its shape's removable corners (sigma_j > sigma_{j+1}, sigma_r = 0)."""
+    r, base = profile.rank, sum(baseline(profile))
+    cells = reads = 0
+    for sh, low in shape_floors(profile).items():
+        corners = sum(a > b for a, b in zip(sh, sh[1:] + (0,)))
+        for _ in range(low, (order + base - sum(sh)) // r + 1):
+            cells += 1
+            reads += 2 ** corners
+    return cells, reads
 
 
 def zero_one_valid(profile: Profile, white: tuple[int, ...]) -> bool:

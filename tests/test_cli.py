@@ -575,10 +575,11 @@ class TestVerbose:
                 iter_slices(Profile((2, 1)), 12)))
             # C(level + rank - 1, rank - 1) shapes, level 3 and rank 2
             assert counters["shapes"] == comb(3 + 2 - 1, 2 - 1)
-            # each visited (shape, L) reads 2^c lattice sums, c <= 1 the
-            # shape's removable corners: 1 read for (0), 2 for (1)-(3)
-            visits = chain_visits(Profile((2, 1)), 12)
-            assert counters["shape_pairs"] == visits // 4 * (1 + 2 + 2 + 2)
+            # the 24 live cells (shape, L), the slices, read 42 lattice
+            # sums: 2^c each, c <= 1 the shape's removable corners (1 for
+            # (0), 2 for (1)-(3))
+            assert chain_visits(Profile((2, 1)), 12) == (24, 42)
+            assert counters["shape_pairs"] == 42
             # the folded layout packs at W(2, 12) = isqrt(137 * 24 // 10) + 1
             assert counters["slot_bits"] == 19
 
@@ -766,8 +767,12 @@ class TestGolden:
     chain DP's folded slot width W(r, N) exceeds the bit length of
     [q^N] (q;q)_oo^(-r) by 13-23 bits; an empty `--out`, spelled
     `--out ""` and `--out=`; `flow` at rank 1, where every shape is (),
-    and on (0,2,0), where equal shape entries block a row; last, an empty
-    `verify --id`, plain and with `--format csv`.
+    and on (0,2,0), where equal shape entries block a row; an empty
+    `verify --id`, plain and with `--format csv`; the chain DP on rank 1,
+    whose lattice is the one empty shape, on (0,0,0,0,6) at order 12, where
+    96 of the 210 shapes have no slice of weight <= 12, and at order 0;
+    last, a profile with a part that is not an integer or is empty, for
+    `expand` and for `count`.
     """
 
     def test_cases_distinct(self):
